@@ -715,6 +715,18 @@ struct SessionThroughputStats {
   double decisions_per_sec = 0.0;
 };
 
+/// The median over the timed reps' ms/decision, and its rate.
+SessionThroughputStats session_stats(std::vector<double> ms_per_decision,
+                                     std::size_t decisions) {
+  std::sort(ms_per_decision.begin(), ms_per_decision.end());
+  SessionThroughputStats out;
+  out.decisions = decisions;
+  out.ms_per_decision = percentile(ms_per_decision, 0.50);
+  out.decisions_per_sec =
+      out.ms_per_decision > 0.0 ? 1000.0 / out.ms_per_decision : 0.0;
+  return out;
+}
+
 SessionThroughputStats measure_session_throughput(std::size_t sessions,
                                                   bool shared_cache,
                                                   std::size_t reps) {
@@ -747,7 +759,8 @@ SessionThroughputStats measure_session_throughput(std::size_t sessions,
         ids.push_back(
             svc.open(core::LynceusOptimizer(per).make_stepper(problem, 5)));
       } else {
-        ids.push_back(svc.open_lynceus(problem, per, 5));
+        ids.push_back(
+            svc.open_session(service::SessionSpec::lynceus(problem, per, 5)));
       }
     }
     eval::AsyncTableRunner async(ds);
@@ -761,24 +774,17 @@ SessionThroughputStats measure_session_throughput(std::size_t sessions,
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     ms_per_decision.push_back(ms / static_cast<double>(decisions));
   }
-  std::sort(ms_per_decision.begin(), ms_per_decision.end());
-  SessionThroughputStats out;
-  out.decisions = decisions;
-  out.ms_per_decision = percentile(ms_per_decision, 0.50);
-  out.decisions_per_sec =
-      out.ms_per_decision > 0.0 ? 1000.0 / out.ms_per_decision : 0.0;
-  return out;
+  return session_stats(std::move(ms_per_decision), decisions);
 }
 
-/// Inter-session scaling (ISSUE 7 / ROADMAP "Inter-session parallel
-/// scheduling"): N concurrent Lynceus sessions with *distinct* seeds —
-/// independent jobs, the fleet scenario — drained either by the
+/// Inter-session scaling: N concurrent Lynceus sessions with *distinct*
+/// seeds — independent jobs, the fleet scenario — drained either by the
 /// single-threaded FIFO loop (workers == 0, the baseline) or by the
-/// throughput-mode worker pool (workers >= 1). No root cache in either
-/// mode (throughput mode requires it off; the baseline matches so the
-/// comparison is pure scheduling). Per-session trajectories are
-/// byte-identical across all modes by the throughput contract, so
-/// decisions/s compares the same work.
+/// sharded drain on `workers` threads (workers >= 1; session s on shard
+/// s % workers, each shard a FIFO service with its own runner). No root
+/// cache and no decision pool in either mode, so the comparison is pure
+/// scheduling; per-session trajectories are byte-identical across all
+/// modes, so decisions/s compares the same work.
 SessionThroughputStats measure_session_scaling(std::size_t sessions,
                                                std::size_t workers,
                                                std::size_t reps) {
@@ -792,31 +798,29 @@ SessionThroughputStats measure_session_scaling(std::size_t sessions,
   std::vector<double> ms_per_decision;
   std::size_t decisions = 0;
   for (std::size_t rep = 0; rep <= reps; ++rep) {  // rep 0 = warm-up
-    service::TuningService::Options sopts;
-    sopts.throughput_workers = workers;
-    service::TuningService svc(sopts);
+    const std::size_t shards = std::max<std::size_t>(workers, 1);
+    std::vector<service::TuningService> svcs(shards);
+    std::vector<eval::AsyncTableRunner> runners(shards,
+                                                eval::AsyncTableRunner(ds));
     std::vector<service::SessionId> ids;
     for (std::size_t s = 0; s < sessions; ++s) {
-      ids.push_back(svc.open_lynceus(problem, opts, s + 1));
+      ids.push_back(svcs[s % shards].open_session(
+          service::SessionSpec::lynceus(problem, opts, s + 1)));
     }
-    eval::AsyncTableRunner async(ds);
     const auto t0 = std::chrono::steady_clock::now();
-    service::drain(svc, async);
+    // One shard is exactly the FIFO drain() on this thread.
+    service::drain_sharded(svcs, runners);
     const auto t1 = std::chrono::steady_clock::now();
     decisions = 0;
-    for (const auto id : ids) decisions += svc.result(id).decisions;
+    for (std::size_t s = 0; s < sessions; ++s) {
+      decisions += svcs[s % shards].result(ids[s]).decisions;
+    }
     if (rep == 0) continue;
     const double ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     ms_per_decision.push_back(ms / static_cast<double>(decisions));
   }
-  std::sort(ms_per_decision.begin(), ms_per_decision.end());
-  SessionThroughputStats out;
-  out.decisions = decisions;
-  out.ms_per_decision = percentile(ms_per_decision, 0.50);
-  out.decisions_per_sec =
-      out.ms_per_decision > 0.0 ? 1000.0 / out.ms_per_decision : 0.0;
-  return out;
+  return session_stats(std::move(ms_per_decision), decisions);
 }
 
 /// Network front-end throughput (src/net/): N concurrent remote Lynceus
@@ -1244,17 +1248,17 @@ bool write_json_summary(const std::string& path,
   }
 
   // Inter-session scaling: decisions/s at 8/64 concurrent sessions,
-  // FIFO loop (workers == 0) vs throughput mode at workers in
-  // {1, nproc-1} (deduplicated; see measure_session_scaling).
+  // FIFO loop (workers == 0) vs the sharded drain on workers in
+  // {1, nproc} threads (deduplicated; see measure_session_scaling).
   // speedup_vs_w0 compares the same session count's FIFO entry.
   // tools/scaling_gate.py hard-gates the 64-session curve on multi-core
   // CI; tools/compare_bench.py skips the workers == 0 entries.
   if (want("session_scaling")) {
   w.key("session_scaling").begin_array();
   {
-    std::vector<std::size_t> worker_counts = {0, 1,
-                                              util::default_worker_count()};
-    std::sort(worker_counts.begin(), worker_counts.end());
+    // nproc = the pool default plus the calling thread.
+    std::vector<std::size_t> worker_counts = {
+        0, 1, util::default_worker_count() + 1};
     worker_counts.erase(
         std::unique(worker_counts.begin(), worker_counts.end()),
         worker_counts.end());

@@ -205,58 +205,4 @@ std::optional<double> AsyncTableRunner::next_finish_time() const {
   return pending_.front().finish_time;
 }
 
-AsyncCompletionPump::AsyncCompletionPump(AsyncTableRunner& runner,
-                                         Callback deliver)
-    : runner_(&runner), deliver_(std::move(deliver)) {
-  if (!deliver_) {
-    throw std::invalid_argument("AsyncCompletionPump: null delivery callback");
-  }
-  thread_ = std::thread(&AsyncCompletionPump::loop, this);
-}
-
-AsyncCompletionPump::~AsyncCompletionPump() { stop(); }
-
-std::uint64_t AsyncCompletionPump::submit(
-    std::uint64_t tag, space::ConfigId config,
-    const AsyncTableRunner::SubmitOptions& options) {
-  std::uint64_t ticket;
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    ticket = runner_->submit(tag, config, options);
-  }
-  cv_.notify_one();
-  return ticket;
-}
-
-bool AsyncCompletionPump::stalled(const std::function<bool()>& idle_check) {
-  std::lock_guard<std::mutex> lk(mutex_);
-  // A poppable completion means the pump thread will deliver it; holding
-  // the lock here guarantees no delivery is mid-flight while we look.
-  if (runner_->next_finish_time().has_value()) return false;
-  return idle_check();
-}
-
-void AsyncCompletionPump::stop() {
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void AsyncCompletionPump::loop() {
-  std::unique_lock<std::mutex> lk(mutex_);
-  while (!stop_) {
-    std::optional<AsyncTableRunner::Completion> c = runner_->next_completion();
-    if (c.has_value()) {
-      deliver_(*c);
-      continue;
-    }
-    // Idle (or only forever-hung runs remain): sleep until a submit or
-    // stop wakes us. Spurious wakeups just re-poll.
-    cv_.wait(lk);
-  }
-}
-
 }  // namespace lynceus::eval

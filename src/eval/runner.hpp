@@ -28,14 +28,11 @@
 /// A plan with all rates zero is inert: `active()` is false, no RNG is
 /// constructed, and runners behave bitwise exactly as without the plan.
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -234,63 +231,6 @@ class AsyncTableRunner {
   double now_ = 0.0;
   std::uint64_t next_ticket_ = 0;
   std::size_t served_ = 0;
-};
-
-/// Threads a real completion-delivery loop around AsyncTableRunner (which
-/// is itself single-threaded by design): submissions from any thread are
-/// serialized under the pump's lock, and a dedicated pump thread pops each
-/// completion as soon as it becomes poppable and hands it to the delivery
-/// callback. The TuningService throughput scheduler
-/// (service/tuning_service.hpp, "Throughput mode") uses one pump as the
-/// boundary between its worker pool and the simulated cluster; a real
-/// deployment would replace the pump thread with its cluster's completion
-/// transport.
-///
-/// Concurrency contract:
-///   * submit() may be called from any thread.
-///   * `deliver` runs on the pump thread, under the pump lock — it must
-///     not call back into the pump (a submit from inside deliver would
-///     deadlock) and should be quick; pushing to a lock-free queue is the
-///     intended use.
-///   * stalled() answers, race-free, "can this runner ever deliver
-///     again?" — true when no completion is poppable (idle, or only
-///     forever-hung runs remain) *and* the caller-supplied idle check
-///     holds under the same lock, so no in-flight delivery or concurrent
-///     submit can slip between the two observations. Worker pools use it
-///     to terminate when hung runs would otherwise leave them polling
-///     forever.
-class AsyncCompletionPump {
- public:
-  using Callback = std::function<void(const AsyncTableRunner::Completion&)>;
-
-  /// Starts the pump thread. `runner` must outlive the pump and must not
-  /// be touched by any other thread until stop() returns.
-  AsyncCompletionPump(AsyncTableRunner& runner, Callback deliver);
-  ~AsyncCompletionPump();
-
-  AsyncCompletionPump(const AsyncCompletionPump&) = delete;
-  AsyncCompletionPump& operator=(const AsyncCompletionPump&) = delete;
-
-  /// Thread-safe submit; wakes the pump thread. Returns the ticket.
-  std::uint64_t submit(std::uint64_t tag, space::ConfigId config,
-                       const AsyncTableRunner::SubmitOptions& options);
-
-  /// See the concurrency contract in the class comment.
-  [[nodiscard]] bool stalled(const std::function<bool()>& idle_check);
-
-  /// Stops and joins the pump thread (idempotent; the destructor calls
-  /// it). Undelivered hung runs stay outstanding in the runner.
-  void stop();
-
- private:
-  void loop();
-
-  AsyncTableRunner* runner_;
-  Callback deliver_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
 };
 
 }  // namespace lynceus::eval

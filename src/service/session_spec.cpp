@@ -337,6 +337,11 @@ SessionSpec SessionSpec::from_json(const util::JsonValue& v) {
     }
   }
   SessionSpec spec;
+  // An absent key means the documented default, never this host's
+  // LYNCEUS_INCREMENTAL_REFIT / LYNCEUS_BRANCH_PARALLEL toggles: a wire
+  // spec must mean the same on every server.
+  spec.incremental_refit = false;
+  spec.branch_parallel = false;
   spec.optimizer = v.at("optimizer").as_string();
   // Per-kind default divergence: MultiConstraintOptions defaults LA to 1.
   if (spec.optimizer == "multi_constraint") spec.lookahead = 1;

@@ -6,9 +6,8 @@
 /// problem, optimizer options, run policy, seed — so the same description
 /// can arrive as C++ code (`TuningService::open_session`), as a CLI flag
 /// set (`lynceus_tune`), inside a snapshot, or as a length-prefixed JSON
-/// frame over TCP (src/net/). The legacy per-optimizer `open_*` overloads
-/// are one-line shims over this type: a wire protocol cannot carry a C++
-/// overload set, so the spec is the unit the redesigned API speaks.
+/// frame over TCP (src/net/). A wire protocol cannot carry a C++ overload
+/// set, so the spec is the unit the session API speaks.
 ///
 /// ## One codec
 ///
@@ -32,7 +31,10 @@
 /// have (BO reads only `ei_stop_fraction` + `model_factory`, RND reads
 /// nothing but the seed). Defaults mirror the per-optimizer structs,
 /// including the `LYNCEUS_INCREMENTAL_REFIT` / `LYNCEUS_BRANCH_PARALLEL`
-/// environment toggles and multi_constraint's lookahead default of 1.
+/// environment toggles and multi_constraint's lookahead default of 1 —
+/// except that from_json() reads an absent `incremental_refit` or
+/// `branch_parallel` key as false, so a decoded spec never depends on
+/// the decoding host's environment.
 
 #include <cstdint>
 #include <functional>
@@ -148,9 +150,9 @@ struct SessionSpec {
   model::ModelFactory model_factory;
   core::SetupCostFn setup_cost;
 
-  /// Shim builders used by the legacy open_* overloads: copy every knob of
-  /// the per-optimizer struct into a spec (pool/root_cache excluded — the
-  /// service injects its shared ones at open).
+  /// Factories over the per-optimizer option structs: copy every knob into
+  /// a spec (pool/root_cache excluded — the service injects its shared
+  /// ones at open).
   [[nodiscard]] static SessionSpec lynceus(
       const core::OptimizationProblem& problem,
       const core::LynceusOptions& options, std::uint64_t seed);

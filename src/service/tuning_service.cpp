@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <stdexcept>
+#include <thread>
 
 #include "util/json.hpp"
 
@@ -12,21 +14,6 @@ TuningService::TuningService() : TuningService(Options{}) {}
 
 TuningService::TuningService(Options options) : options_(std::move(options)) {
   options_.run_policy.validate();
-  if (options_.throughput_workers > 0) {
-    // See "Throughput mode" in the header: the shared cache's LRU mutation
-    // order is interleaving-dependent, and intra-decision pool fan-out
-    // would oversubscribe the session-step workers.
-    if (options_.root_cache_capacity > 0) {
-      throw std::invalid_argument(
-          "TuningService: throughput_workers requires the shared RootCache "
-          "off (root_cache_capacity == 0)");
-    }
-    if (options_.pool_workers > 0) {
-      throw std::invalid_argument(
-          "TuningService: throughput_workers and pool_workers are mutually "
-          "exclusive (session-level parallelism replaces the decision pool)");
-    }
-  }
   if (options_.pool_workers > 0) {
     pool_ = std::make_unique<util::ThreadPool>(options_.pool_workers);
   }
@@ -111,31 +98,6 @@ SessionId TuningService::restore_session(const SessionSpec& spec,
       restore(spec.make_stepper(shared_pool(), shared_cache()), snapshot_json);
   sessions_[id].policy = policy;
   return id;
-}
-
-SessionId TuningService::open_lynceus(const core::OptimizationProblem& problem,
-                                      core::LynceusOptions options,
-                                      std::uint64_t seed) {
-  return open_session(SessionSpec::lynceus(problem, options, seed));
-}
-
-SessionId TuningService::open_multi_constraint(
-    const core::OptimizationProblem& problem,
-    std::vector<core::ConstraintDef> constraints,
-    core::MultiConstraintOptions options, std::uint64_t seed) {
-  return open_session(
-      SessionSpec::multi_constraint(problem, constraints, options, seed));
-}
-
-SessionId TuningService::open_bo(const core::OptimizationProblem& problem,
-                                 core::BoOptions options,
-                                 std::uint64_t seed) {
-  return open_session(SessionSpec::bo(problem, options, seed));
-}
-
-SessionId TuningService::open_random(const core::OptimizationProblem& problem,
-                                     std::uint64_t seed) {
-  return open_session(SessionSpec::random(problem, seed));
 }
 
 std::vector<PendingRun> TuningService::next_runs(std::size_t max_runs) {
@@ -432,18 +394,7 @@ SessionId TuningService::restore(
   return id;
 }
 
-SessionId TuningService::restore_lynceus(
-    const core::OptimizationProblem& problem, core::LynceusOptions options,
-    std::uint64_t seed, const std::string& snapshot_json) {
-  return restore_session(SessionSpec::lynceus(problem, options, seed),
-                         snapshot_json);
-}
-
 void drain(TuningService& service, eval::AsyncTableRunner& runner) {
-  if (service.options().throughput_workers > 0) {
-    service.run_throughput(runner);
-    return;
-  }
   while (true) {
     for (const PendingRun& run : service.next_runs()) {
       eval::AsyncTableRunner::SubmitOptions opts;
@@ -455,6 +406,38 @@ void drain(TuningService& service, eval::AsyncTableRunner& runner) {
     const auto completion = runner.next_completion();
     if (!completion.has_value()) return;
     service.tell(completion->tag, completion->config, completion->result);
+  }
+}
+
+void drain_sharded(std::vector<TuningService>& services,
+                   std::vector<eval::AsyncTableRunner>& runners) {
+  if (services.size() != runners.size()) {
+    throw std::invalid_argument(
+        "drain_sharded: one runner per service required");
+  }
+  std::vector<std::exception_ptr> errors(services.size());
+  const auto drain_shard = [&](std::size_t k) {
+    try {
+      drain(services[k], runners[k]);
+    } catch (...) {
+      errors[k] = std::current_exception();
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(services.size());
+  try {
+    for (std::size_t k = 1; k < services.size(); ++k) {
+      threads.emplace_back(drain_shard, k);
+    }
+  } catch (...) {
+    // Could not start a thread: join the ones already running first.
+    for (std::thread& t : threads) t.join();
+    throw;
+  }
+  if (!services.empty()) drain_shard(0);
+  for (std::thread& t : threads) t.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
 }
 

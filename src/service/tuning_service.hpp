@@ -14,8 +14,7 @@
 ///
 ///   * `open_session(spec)` starts a session from one declarative
 ///     `SessionSpec` (service/session_spec.hpp: optimizer kind — Lynceus,
-///     multi-constraint, BO or RND — problem, knobs, run policy, seed; the
-///     legacy `open_*` overloads are one-line shims building a spec),
+///     multi-constraint, BO or RND — problem, knobs, run policy, seed),
 ///     injecting the service's shared resources: one
 ///     `util::ThreadPool` fanning out every session's root simulations,
 ///     and optionally one shared `core::RootCache`, so recurrent sessions
@@ -92,57 +91,21 @@
 /// (config, attempt), finishes each one byte-identically to the
 /// uninterrupted run (the crash-recovery drill in tests/test_faults.cpp).
 ///
-/// ## Throughput mode (opt-in, Options::throughput_workers > 0)
+/// ## Sharded drain: many sessions on many cores
 ///
-/// The FIFO loop above advances sessions round-robin from one thread: at
-/// 64 sessions every core but one idles. run_throughput() inverts that —
-/// a pool of `throughput_workers` threads pulls *whole session steps*
-/// (apply completed results, ask, submit the next batch) off a lock-free
-/// MPMC run queue (util/mpmc_queue.hpp), completions flow back through an
-/// eval::AsyncCompletionPump delivery thread, and 64+ sessions advance
-/// concurrently. The scheduling contract:
+/// The FIFO loop advances sessions from one thread. For multi-core session
+/// parallelism, drain_sharded() (below) drains K independent services on
+/// K threads — the in-process twin of the network server's shard loops.
+/// The caller places session i on shard `i % K`; every shard is a plain
+/// FIFO service with its own runner, so per-session trajectories,
+/// quarantine and journal-per-tell semantics are exactly the FIFO ones
+/// above. Shards share nothing but what the caller hands them (problem,
+/// dataset — read-only); a journal callback shared across shards is
+/// invoked from every shard's thread and must be thread-safe.
 ///
-///   * **Per-session trajectories are bit-pinned.** A session's state is
-///     owned exclusively by whichever worker holds its queue task (at most
-///     one task per session exists; the per-slot mutex only hands the
-///     completed wave over from the delivery thread). Completions are
-///     buffered per session and applied in canonical ask() order once the
-///     whole outstanding wave has resolved — so each session's trajectory
-///     is byte-identical to its solo FIFO run, for any worker count,
-///     including under fault injection (fault draws are keyed by
-///     (config, attempt), interleaving-independent).
-///   * **Cross-session interleaving is NOT pinned.** Which session's wave
-///     completes first, runner submission order, simulated finish times
-///     and total simulated duration all vary run to run. Anything derived
-///     from global ordering (e.g. AsyncTableRunner::now()) is
-///     nondeterministic in this mode.
-///   * **Quarantine is wave-canonical.** The failure streak is updated in
-///     canonical ask order at each wave boundary, not in per-arrival
-///     simulated-time order as the FIFO loop does — deterministic for a
-///     given mode, but a streak that FIFO mode trips mid-wave can resolve
-///     differently here. Sessions that quarantine under fail-everything
-///     faults do so identically in both modes; the cross-mode
-///     trajectory-identity suites pin the no-quarantine and
-///     always-quarantine cases.
-///   * **Journal semantics.** With Options::journal set, sessions are
-///     journaled once per applied wave (after its tells) instead of after
-///     every tell, and the callback is invoked from worker threads — it
-///     must be thread-safe (per-session ordering is still serial). A
-///     restored envelope replays byte-identically; the only state not
-///     carried is the backoff start_delay of a not-yet-relaunched retry
-///     (simulated-time scheduling only — attempt numbers, and hence fault
-///     draws, are preserved).
-///   * **Exclusions.** Throughput mode requires the shared RootCache off
-///     (root_cache_capacity == 0; its LRU mutation order is not
-///     order-insensitive) and the intra-decision pool off
-///     (pool_workers == 0; session-level parallelism replaces it) — the
-///     constructor enforces both. Do not call other service methods while
-///     run_throughput() is running.
-///
-/// Single-threaded by design (throughput mode aside): the service is an
-/// event-loop core — calls are cheap state transitions (ask() decision
-/// work happens inside next_runs()), and callers own the concurrency
-/// model around it.
+/// Single-threaded by design: the service is an event-loop core — calls
+/// are cheap state transitions (ask() decision work happens inside
+/// next_runs()), and callers own the concurrency model around it.
 
 #include <cstdint>
 #include <deque>
@@ -202,12 +165,6 @@ class TuningService {
     std::size_t root_cache_capacity = 0;
     /// RootCache::Options::store_models for the shared cache.
     bool cache_store_models = false;
-    /// Workers of the throughput-mode scheduler (see "Throughput mode" in
-    /// the file comment): 0 = FIFO event-loop service (the default,
-    /// deterministic across sessions); > 0 enables run_throughput() with
-    /// that many session-step workers. Mutually exclusive with
-    /// pool_workers and root_cache_capacity (the constructor throws).
-    std::size_t throughput_workers = 0;
     /// Failure-handling policy applied to every session whose SessionSpec
     /// does not carry its own (default: inert).
     RunPolicy run_policy;
@@ -228,8 +185,7 @@ class TuningService {
   /// shared pool/cache into the stepper; `spec.problem` must be set (and
   /// outlive the session) — callers holding only a ProblemRef resolve it
   /// first (the network server does this via its workload registry). The
-  /// CLI, the examples, the wire protocol and the legacy overloads below
-  /// all funnel through here.
+  /// CLI, the examples and the wire protocol all funnel through here.
   SessionId open_session(const SessionSpec& spec);
 
   /// Reopens a snapshot — either a bare stepper snapshot or a
@@ -244,23 +200,6 @@ class TuningService {
   /// in whatever the stepper was built with). The problem behind the
   /// stepper must outlive the session.
   SessionId open(std::unique_ptr<core::OptimizerStepper> stepper);
-
-  /// Legacy per-optimizer overloads: one-line shims building a
-  /// SessionSpec for open_session(). Kept so pre-redesign call sites
-  /// compile unchanged; new code should construct the spec directly.
-  SessionId open_lynceus(const core::OptimizationProblem& problem,
-                         core::LynceusOptions options, std::uint64_t seed);
-
-  SessionId open_multi_constraint(const core::OptimizationProblem& problem,
-                                  std::vector<core::ConstraintDef> constraints,
-                                  core::MultiConstraintOptions options,
-                                  std::uint64_t seed);
-
-  SessionId open_bo(const core::OptimizationProblem& problem,
-                    core::BoOptions options, std::uint64_t seed);
-
-  SessionId open_random(const core::OptimizationProblem& problem,
-                        std::uint64_t seed);
 
   /// Advances every ready session (deterministic round-robin; see file
   /// comment) and returns the profiling runs to launch. Sessions that
@@ -320,21 +259,6 @@ class TuningService {
   /// re-enters the ready queue unless finished.
   SessionId restore(std::unique_ptr<core::OptimizerStepper> stepper,
                     const std::string& snapshot_json);
-  /// Legacy shim over restore_session(), mirroring open_lynceus.
-  SessionId restore_lynceus(const core::OptimizationProblem& problem,
-                            core::LynceusOptions options, std::uint64_t seed,
-                            const std::string& snapshot_json);
-
-  /// Drives every open session to completion against `runner` with the
-  /// worker pool described under "Throughput mode" in the file comment
-  /// (requires Options::throughput_workers > 0; throws std::logic_error
-  /// otherwise). Returns once every session is finished or quarantined —
-  /// or, mirroring drain(), once only forever-hung runs remain, leaving
-  /// those sessions unfinished with their runs counted in flight.
-  /// Restored sessions are picked up mid-batch (queued retries are
-  /// relaunched with their saved attempt numbers). The runner must be
-  /// untouched by other threads for the duration of the call.
-  void run_throughput(eval::AsyncTableRunner& runner);
 
   [[nodiscard]] const Options& options() const noexcept { return options_; }
 
@@ -401,10 +325,18 @@ class TuningService {
 /// completions; sessions the policy quarantines simply stop emitting runs
 /// and the drain still reaches idle. The event loop the CLI batch mode,
 /// the service benchmarks and the examples all share; a real deployment
-/// replaces it with its cluster transport. With
-/// Options::throughput_workers > 0 this dispatches to
-/// service.run_throughput(runner) instead, so drivers support both modes
-/// transparently.
+/// replaces it with its cluster transport. If only forever-hung runs
+/// remain (an un-capped hang), it returns with those sessions unfinished.
 void drain(TuningService& service, eval::AsyncTableRunner& runner);
+
+/// The sharded drain ("Sharded drain" in the file comment): runs drain()
+/// on every shard `services[k]` against its own `runners[k]`, on one
+/// thread per shard — the caller's thread is one of them — and returns
+/// once every shard has returned. If shards throw, every thread is still
+/// joined first; then the exception of the lowest-numbered failing shard
+/// is rethrown. Throws std::invalid_argument when the two vectors differ
+/// in size.
+void drain_sharded(std::vector<TuningService>& services,
+                   std::vector<eval::AsyncTableRunner>& runners);
 
 }  // namespace lynceus::service

@@ -1,13 +1,11 @@
 #pragma once
 
 /// \file spsc_queue.hpp
-/// A bounded lock-free single-producer/single-consumer ring buffer — the
-/// sibling of the MPMC run queue in mpmc_queue.hpp, specialized for the
+/// A bounded lock-free single-producer/single-consumer ring buffer for the
 /// point-to-point lanes of the network front-end (src/net/): each
 /// transport thread owns exactly one request lane into each service-loop
 /// shard and each shard owns one completion lane back, so every lane has
-/// one writer and one reader by construction and the CAS traffic of the
-/// MPMC design buys nothing.
+/// one writer and one reader by construction and no cursor needs a CAS.
 ///
 /// Design: classic Lamport ring with cached cursors. The producer owns
 /// `tail_` and keeps a private copy of the consumer's `head_` (refreshed
@@ -28,19 +26,25 @@
 /// Thread-safety contract: at most ONE thread may call try_push/size
 /// concurrently, and at most ONE thread may call try_pop concurrently.
 /// Distinct queues are fully independent. Violating the single-writer /
-/// single-reader rule is a data race; use MpmcQueue when either side has
-/// more than one thread.
+/// single-reader rule is a data race.
+///
+/// `Backoff` below is the polite spin helper the lanes' poll loops share.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
-#include "util/mpmc_queue.hpp"  // kCacheLineSize
-
 namespace lynceus::util {
+
+/// Destructive-interference distance for cursor padding. A constant 64
+/// rather than std::hardware_destructive_interference_size: the standard
+/// value is an ABI hazard GCC warns about (-Winterference-size), and 64
+/// is correct for every target this builds on.
+inline constexpr std::size_t kCacheLineSize = 64;
 
 template <typename T>
 class SpscQueue {
@@ -149,6 +153,33 @@ class SpscQueue {
   /// Consumer-owned line: head cursor + cached producer tail.
   alignas(kCacheLineSize) std::atomic<std::uint64_t> head_{0};
   std::uint64_t tail_cache_ = 0;
+};
+
+/// Polite spin for poll loops over the lanes: a few pause-style hot spins,
+/// then yields to the OS scheduler so an oversubscribed host still makes
+/// progress. Reset it after useful work.
+class Backoff {
+ public:
+  void spin() noexcept {
+    if (count_ < kHotSpins) {
+      ++count_;
+      for (int i = 0; i < (1 << count_); ++i) {
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#else
+        std::atomic_signal_fence(std::memory_order_seq_cst);
+#endif
+      }
+      return;
+    }
+    std::this_thread::yield();
+  }
+
+  void reset() noexcept { count_ = 0; }
+
+ private:
+  static constexpr int kHotSpins = 6;
+  int count_ = 0;
 };
 
 }  // namespace lynceus::util

@@ -28,6 +28,7 @@ using core::RunOutcome;
 using core::RunResult;
 using service::PendingRun;
 using service::RunPolicy;
+using service::SessionSpec;
 using service::SessionId;
 using service::TuningService;
 
@@ -38,28 +39,7 @@ core::LynceusOptions fast_lynceus() {
   return opts;
 }
 
-/// Everything OptimizerResult carries, including the failure ledger.
-void expect_identical_with_failures(const OptimizerResult& a,
-                                    const OptimizerResult& b) {
-  ASSERT_EQ(a.history.size(), b.history.size());
-  for (std::size_t i = 0; i < a.history.size(); ++i) {
-    EXPECT_EQ(a.history[i].id, b.history[i].id) << "step " << i;
-    EXPECT_EQ(a.history[i].cost, b.history[i].cost) << "step " << i;
-    EXPECT_EQ(a.history[i].feasible, b.history[i].feasible) << "step " << i;
-  }
-  ASSERT_EQ(a.failures.size(), b.failures.size());
-  for (std::size_t i = 0; i < a.failures.size(); ++i) {
-    EXPECT_EQ(a.failures[i].id, b.failures[i].id) << "failure " << i;
-    EXPECT_EQ(a.failures[i].cost, b.failures[i].cost) << "failure " << i;
-    EXPECT_EQ(a.failures[i].after_samples, b.failures[i].after_samples)
-        << "failure " << i;
-  }
-  EXPECT_EQ(a.budget_spent, b.budget_spent);
-  EXPECT_EQ(a.budget_spent_on_failures, b.budget_spent_on_failures);
-  EXPECT_EQ(a.recommendation, b.recommendation);
-  EXPECT_EQ(a.recommendation_feasible, b.recommendation_feasible);
-  EXPECT_EQ(a.decisions, b.decisions);
-}
+using lynceus::testing::expect_identical_with_failures;
 
 // ---------------------------------------------------------------------------
 // Stepper layer: non-ok tells.
@@ -90,7 +70,7 @@ TEST(FaultStepper, FailedTellRecordsFailureAndBlacklists) {
   }
 
   eval::TableRunner rest(ds);
-  core::drive(*stepper, rest);
+  (void)core::drive(*stepper, rest);
   ASSERT_TRUE(stepper->finished());
   const OptimizerResult res = stepper->result();
 
@@ -286,7 +266,7 @@ TEST(RunPolicyTest, RetriesUseExponentialBackoffThenExhaust) {
   sopts.run_policy.backoff_multiplier = 3.0;
   sopts.run_policy.run_timeout_seconds = 123.0;
   TuningService service(sopts);
-  const SessionId id = service.open_random(problem, 4);
+  const SessionId id = service.open_session(SessionSpec::random(problem, 4));
 
   const std::vector<PendingRun> batch = service.next_runs();
   ASSERT_FALSE(batch.empty());
@@ -339,7 +319,7 @@ TEST(RunPolicyTest, TellForRetryPendingConfigThrowsWithoutStateChange) {
   TuningService::Options sopts;
   sopts.run_policy.max_attempts = 2;
   TuningService service(sopts);
-  const SessionId id = service.open_random(problem, 4);
+  const SessionId id = service.open_session(SessionSpec::random(problem, 4));
   const auto batch = service.next_runs();
   ASSERT_FALSE(batch.empty());
   RunResult failed;
@@ -361,7 +341,7 @@ TEST(RunPolicyTest, TmaxFactorCapsTheEffectiveTimeout) {
   sopts.run_policy.run_timeout_seconds = 1e9;
   sopts.run_policy.timeout_tmax_factor = 2.0;
   TuningService service(sopts);
-  (void)service.open_random(problem, 4);
+  (void)service.open_session(SessionSpec::random(problem, 4));
   const auto batch = service.next_runs();
   ASSERT_FALSE(batch.empty());
   for (const PendingRun& run : batch) {
@@ -381,8 +361,10 @@ TEST(RunPolicyTest, QuarantineAfterConsecutiveFailures) {
   plan.fail_rate = 1.0;  // a broken runner: every attempt crashes
   async.set_fault_plan(plan);
 
-  const SessionId sick = service.open_random(problem, 4);
-  const SessionId healthy = service.open_lynceus(problem, fast_lynceus(), 6);
+  const SessionId sick =
+      service.open_session(SessionSpec::random(problem, 4));
+  const SessionId healthy = service.open_session(
+      SessionSpec::lynceus(problem, fast_lynceus(), 6));
   service::drain(service, async);
 
   EXPECT_TRUE(service.idle());
@@ -418,7 +400,8 @@ TEST(RunPolicyTest, ActivePolicyWithInertPlanKeepsTrajectoriesBitIdentical) {
   sopts.run_policy.quarantine_after = 2;
   TuningService service(sopts);
   eval::AsyncTableRunner async(ds);  // no fault plan
-  const SessionId id = service.open_lynceus(problem, opts, 23);
+  const SessionId id =
+      service.open_session(SessionSpec::lynceus(problem, opts, 23));
   service::drain(service, async);
   ASSERT_TRUE(service.finished(id));
   EXPECT_FALSE(service.quarantined(id));
@@ -459,9 +442,10 @@ std::vector<SessionId> open_stormy_sessions(
     TuningService& service, const core::OptimizationProblem& problem) {
   std::vector<SessionId> ids;
   for (std::uint64_t seed = 11; seed <= 13; ++seed) {
-    ids.push_back(service.open_lynceus(problem, fast_lynceus(), seed));
+    ids.push_back(service.open_session(
+        SessionSpec::lynceus(problem, fast_lynceus(), seed)));
   }
-  ids.push_back(service.open_random(problem, 11));
+  ids.push_back(service.open_session(SessionSpec::random(problem, 11)));
   return ids;
 }
 
@@ -579,8 +563,9 @@ TEST(FaultReplay, CrashRecoveryDrillFinishesByteIdentically) {
   async2.set_fault_plan(stormy_plan());
   std::vector<SessionId> revived_ids;
   for (std::uint64_t seed = 11; seed <= 13; ++seed) {
-    revived_ids.push_back(revived.restore_lynceus(
-        problem, fast_lynceus(), seed, journal.at(seed - 11)));
+    revived_ids.push_back(revived.restore_session(
+        SessionSpec::lynceus(problem, fast_lynceus(), seed),
+        journal.at(seed - 11)));
   }
   revived_ids.push_back(revived.restore(
       core::RandomSearch().make_stepper(problem, 11), journal.at(3)));
@@ -602,7 +587,7 @@ TEST(FaultReplay, SessionEnvelopeRoundTripsRetriesAndQuarantine) {
   sopts.run_policy.max_attempts = 3;
   sopts.run_policy.backoff_base_seconds = 2.0;
   TuningService service(sopts);
-  const SessionId id = service.open_random(problem, 8);
+  const SessionId id = service.open_session(SessionSpec::random(problem, 8));
   const auto batch = service.next_runs();
   ASSERT_GE(batch.size(), 2U);
   RunResult failed;
@@ -637,7 +622,8 @@ TEST(FaultReplay, SessionEnvelopeRoundTripsRetriesAndQuarantine) {
   TuningService::Options qopts;
   qopts.run_policy.quarantine_after = 1;
   TuningService qservice(qopts);
-  const SessionId qid = qservice.open_random(problem, 8);
+  const SessionId qid =
+      qservice.open_session(SessionSpec::random(problem, 8));
   (void)qservice.next_runs();
   qservice.tell(qid, batch[0].config, failed);
   ASSERT_TRUE(qservice.quarantined(qid));

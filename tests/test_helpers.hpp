@@ -4,6 +4,8 @@
 /// dataset with a known cost surface, cheap enough that full Lynceus runs
 /// (including lookahead) complete in milliseconds.
 
+#include <gtest/gtest.h>
+
 #include <cmath>
 #include <memory>
 
@@ -44,6 +46,30 @@ inline cloud::Dataset tiny_dataset() {
 inline core::OptimizationProblem tiny_problem(double b = 3.0) {
   static const cloud::Dataset ds = tiny_dataset();
   return eval::make_problem(ds, b);
+}
+
+/// Asserts two results are the same run: history, failure ledger, budget
+/// split, recommendation and decision count, all bit-for-bit.
+inline void expect_identical_with_failures(const core::OptimizerResult& a,
+                                           const core::OptimizerResult& b) {
+  ASSERT_EQ(a.history.size(), b.history.size());
+  for (std::size_t i = 0; i < a.history.size(); ++i) {
+    EXPECT_EQ(a.history[i].id, b.history[i].id) << "step " << i;
+    EXPECT_EQ(a.history[i].cost, b.history[i].cost) << "step " << i;
+    EXPECT_EQ(a.history[i].feasible, b.history[i].feasible) << "step " << i;
+  }
+  ASSERT_EQ(a.failures.size(), b.failures.size());
+  for (std::size_t i = 0; i < a.failures.size(); ++i) {
+    EXPECT_EQ(a.failures[i].id, b.failures[i].id) << "failure " << i;
+    EXPECT_EQ(a.failures[i].cost, b.failures[i].cost) << "failure " << i;
+    EXPECT_EQ(a.failures[i].after_samples, b.failures[i].after_samples)
+        << "failure " << i;
+  }
+  EXPECT_EQ(a.budget_spent, b.budget_spent);
+  EXPECT_EQ(a.budget_spent_on_failures, b.budget_spent_on_failures);
+  EXPECT_EQ(a.recommendation, b.recommendation);
+  EXPECT_EQ(a.recommendation_feasible, b.recommendation_feasible);
+  EXPECT_EQ(a.decisions, b.decisions);
 }
 
 }  // namespace lynceus::testing

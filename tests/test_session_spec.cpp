@@ -1,16 +1,17 @@
 /// Tests for the unified session surface (service/session_spec.hpp):
 /// JSON codec round trips with bit-exact doubles, structural validation,
-/// the non-serializable corners, and shim equivalence — a session opened
-/// through the legacy per-optimizer overload must follow the exact same
-/// trajectory as one opened from the equivalent SessionSpec, because the
-/// overloads are now one-line shims over open_session().
+/// host-independent decoding, the non-serializable corners, and codec
+/// equivalence — a session opened from a spec that went through the JSON
+/// codec must follow the exact same trajectory as the in-process spec.
 
 #include "service/session_spec.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "eval/runner.hpp"
@@ -98,6 +99,53 @@ TEST(SessionSpec, MultiConstraintDefaultsLookaheadToOne) {
   EXPECT_EQ(spec.constraints[0].threshold, 25.0);
 }
 
+/// Sets an environment variable for one scope and restores the previous
+/// value (or its absence) on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(SessionSpec, AbsentToggleKeysDecodeFalseWhateverTheEnvironment) {
+  // The in-process defaults follow LYNCEUS_INCREMENTAL_REFIT /
+  // LYNCEUS_BRANCH_PARALLEL; a decoded wire spec must not, or the same
+  // frame would mean different sessions on differently configured hosts.
+  const ScopedEnv incremental("LYNCEUS_INCREMENTAL_REFIT", "1");
+  const ScopedEnv branch("LYNCEUS_BRANCH_PARALLEL", "1");
+  ASSERT_TRUE(SessionSpec{}.incremental_refit);
+  ASSERT_TRUE(SessionSpec{}.branch_parallel);
+  for (const char* text :
+       {R"({"optimizer":"lynceus","seed":3})",
+        R"({"optimizer":"lynceus","seed":3,"options":{"lookahead":1}})"}) {
+    SCOPED_TRACE(text);
+    const SessionSpec spec = SessionSpec::from_json(std::string(text));
+    EXPECT_FALSE(spec.incremental_refit);
+    EXPECT_FALSE(spec.branch_parallel);
+  }
+  // Present keys still decode as sent.
+  const SessionSpec on = SessionSpec::from_json(std::string(
+      R"({"optimizer":"lynceus","seed":3,)"
+      R"("options":{"incremental_refit":true,"branch_parallel":true}})"));
+  EXPECT_TRUE(on.incremental_refit);
+  EXPECT_TRUE(on.branch_parallel);
+}
+
 TEST(SessionSpec, ValidateRejectsStructuralNonsense) {
   SessionSpec spec;
   spec.optimizer = "gradient_descent";
@@ -167,7 +215,7 @@ void pump(TuningService& service, eval::AsyncTableRunner& async) {
   }
 }
 
-TEST(SessionSpec, LegacyShimsAndOpenSessionProduceIdenticalTrajectories) {
+TEST(SessionSpec, OpenSessionAndWireSpecProduceIdenticalTrajectories) {
   const auto ds = lynceus::testing::tiny_dataset();
   const auto problem = lynceus::testing::tiny_problem();
   core::LynceusOptions lopts;
@@ -176,7 +224,6 @@ TEST(SessionSpec, LegacyShimsAndOpenSessionProduceIdenticalTrajectories) {
 
   TuningService service;
   eval::AsyncTableRunner async(ds);
-  const SessionId via_shim = service.open_lynceus(problem, lopts, 41);
   SessionSpec spec = SessionSpec::lynceus(problem, lopts, 41);
   const SessionId via_spec = service.open_session(spec);
   // A spec that went through the JSON codec (as a wire frame would) must
@@ -186,11 +233,9 @@ TEST(SessionSpec, LegacyShimsAndOpenSessionProduceIdenticalTrajectories) {
   const SessionId via_wire = service.open_session(wire);
   pump(service, async);
 
-  ASSERT_TRUE(service.finished(via_shim));
   ASSERT_TRUE(service.finished(via_spec));
   ASSERT_TRUE(service.finished(via_wire));
-  expect_identical(service.result(via_spec), service.result(via_shim));
-  expect_identical(service.result(via_wire), service.result(via_shim));
+  expect_identical(service.result(via_wire), service.result(via_spec));
 }
 
 TEST(SessionSpec, OpenSessionWithoutProblemThrows) {

@@ -112,8 +112,8 @@ def load_entries(summary):
         entries[f"{key}/decision"] = e["ms_per_decision"]
         entries[f"{key}/tell_p99"] = e["tell_p99_ms"]
     for e in summary.get("session_scaling", []):
-        # Inter-session throughput scaling (FIFO loop vs the throughput
-        # worker pool): the worker count is part of the key, and
+        # Inter-session throughput scaling (FIFO loop vs the sharded
+        # drain): the shard-thread count is part of the key, and
         # workers == 0 is the single-threaded FIFO reference — skipped
         # here like the other serial references (scaling_gate.py gates
         # the speedup curve itself).

@@ -12,6 +12,7 @@
 /// place there, including the environment-variable defaults). Repeated or
 /// conflicting flags are a hard error.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -65,19 +66,11 @@ Flags:
               as --incremental.
   --sessions N       tune N concurrent sessions of the job (seeds
               seed..seed+N-1) through the TuningService over one shared
-              thread pool, fed by simulated asynchronous run completions
-              (lynceus | bo | rnd only; incompatible with --trace). A
-              shared root cache only pays off for identical recurrent
-              sessions — distinct seeds never share root states — so this
-              mode runs without one.
-  --throughput-workers N  with --sessions: drain the sessions through the
-              worker-pool throughput scheduler (N workers pulling whole
-              session steps off a shared run queue) instead of the
-              single-threaded FIFO loop. Every session's trajectory is
-              byte-identical either way — the scheduling contract in
-              service/tuning_service.hpp — only wall-clock changes.
-              Mutually exclusive with the shared decision pool, so this
-              mode runs without one. Default 0 = FIFO loop.
+              thread pool (or on --shards K shards), fed by simulated
+              asynchronous run completions (lynceus | bo | rnd only;
+              incompatible with --trace). A shared root cache only pays
+              off for identical recurrent sessions — distinct seeds never
+              share root states — so this mode runs without one.
   --snapshot PATH    serialize the session to PATH and exit once
               --snapshot-after tell()s have been applied
   --snapshot-after K runs applied before snapshotting (default: after
@@ -104,7 +97,12 @@ Flags:
               hash-partitioned across them. --max-retries/--run-timeout
               set the server's default RunPolicy; the tuning flags are
               unused (clients send their own SessionSpec).
-  --shards K         with --serve: number of service loops (default 2)
+  --shards K         with --serve: number of service loops (default 2).
+              With --sessions: drain the sessions on K FIFO services, one
+              thread each (session i on shard i % K), instead of one FIFO
+              loop over the shared thread pool; shards run without the
+              pool. Every session's trajectory is byte-identical either
+              way (service/tuning_service.hpp) — only wall-clock changes.
   --wire W           frame-body encoding, "json" or "binary". Default:
               negotiate — the client offers binary and the server picks
               it when allowed. With --serve, W restricts what the
@@ -122,7 +120,7 @@ Flags:
               results back. Per-session trajectories are byte-identical
               to the in-process run (contract in src/net/
               tuning_server.hpp). Incompatible with --dataset, --trace,
-              --snapshot/--resume and --throughput-workers.
+              --snapshot/--resume and --shards.
   --trace     print the per-decision table
   --list      list the suite's jobs and exit
   --help      this text
@@ -370,41 +368,42 @@ int run_sessions(const cloud::Dataset& dataset,
                  const core::OptimizationProblem& problem,
                  const OptimizerChoice& choice, const FaultChoice& faults,
                  std::uint64_t seed, std::size_t sessions,
-                 std::size_t throughput_workers) {
+                 std::size_t shards) {
   service::TuningService::Options sopts;
-  if (throughput_workers > 0) {
-    // Throughput mode owns the parallelism (whole session steps across
-    // workers); the shared decision pool is mutually exclusive with it.
-    sopts.throughput_workers = throughput_workers;
-  } else {
-    sopts.pool_workers = util::default_worker_count();
-  }
+  // Sharded, the shard threads own the parallelism; unsharded, one FIFO
+  // service fans every decision out across the shared pool.
+  if (shards == 0) sopts.pool_workers = util::default_worker_count();
   // No shared root cache: sessions carry distinct seeds, so their root
   // states (bootstrap rows + fit seeds) never coincide and exact-key hits
   // are impossible — the cache would only burn memory here. Identical
   // recurrent sessions (the scenario the shared cache serves) are
   // benchmarked in bench_micro's session_throughput section.
-  service::TuningService svc(sopts);
+  const std::size_t k = std::max<std::size_t>(shards, 1);
+  std::vector<service::TuningService> svcs;
+  svcs.reserve(k);
+  for (std::size_t i = 0; i < k; ++i) svcs.emplace_back(sopts);
 
   std::vector<service::SessionId> ids;
   for (std::size_t i = 0; i < sessions; ++i) {
     service::SessionSpec spec = make_spec(choice, faults, seed + i);
     spec.problem = &problem;
-    ids.push_back(svc.open_session(spec));
+    ids.push_back(svcs[i % k].open_session(spec));
   }
 
   eval::AsyncTableRunner async(dataset);
   if (faults.plan.active()) async.set_fault_plan(faults.plan);
-  service::drain(svc, async);
+  std::vector<eval::AsyncTableRunner> runners(k, async);
+  service::drain_sharded(svcs, runners);
 
-  if (throughput_workers > 0) {
-    std::printf("\n%zu sessions finished (throughput mode: %zu workers)\n",
-                sessions, throughput_workers);
+  if (shards > 0) {
+    std::printf("\n%zu sessions finished (sharded drain: %zu shards)\n",
+                sessions, shards);
   } else {
     std::printf("\n%zu sessions finished (shared pool: %zu workers)\n",
                 sessions, sopts.pool_workers);
   }
   for (std::size_t i = 0; i < sessions; ++i) {
+    const service::TuningService& svc = svcs[i % k];
     const auto result = svc.result(ids[i]);
     const long rec = result.recommendation
                          ? static_cast<long>(*result.recommendation)
@@ -526,8 +525,8 @@ int run(int argc, char** argv) {
   const util::CliFlags flags(
       argc, argv,
       {"suite", "job", "optimizer", "la", "screen", "b", "seed", "dataset",
-       "incremental", "branch-parallel", "sessions", "throughput-workers",
-       "snapshot", "snapshot-after", "resume", "fault-rate", "fault-seed",
+       "incremental", "branch-parallel", "sessions", "snapshot",
+       "snapshot-after", "resume", "fault-rate", "fault-seed",
        "straggler-factor", "max-retries", "run-timeout", "serve", "shards",
        "wire", "pin-threads", "connect", "trace", "list", "help"});
 
@@ -561,9 +560,6 @@ int run(int argc, char** argv) {
                      static_cast<std::size_t>(shards), policy,
                      flags.get_bool("pin-threads", false),
                      parse_faults(flags));
-  }
-  if (flags.has("shards")) {
-    throw std::invalid_argument("--shards requires --serve");
   }
   if (flags.has("pin-threads")) {
     throw std::invalid_argument("--pin-threads requires --serve");
@@ -605,15 +601,18 @@ int run(int argc, char** argv) {
 
   const auto sessions =
       static_cast<std::size_t>(flags.get_int("sessions", 1));
-  const auto throughput_workers =
-      static_cast<std::size_t>(flags.get_int("throughput-workers", 0));
+  std::size_t shards = 0;
+  if (flags.has("shards")) {
+    const std::int64_t k = flags.get_int("shards", 0);
+    if (k < 1) throw std::invalid_argument("--shards must be >= 1");
+    shards = static_cast<std::size_t>(k);
+  }
   if (flags.has("connect")) {
     if (flags.has("dataset") || flags.get_bool("trace", false) ||
-        flags.has("snapshot") || flags.has("resume") ||
-        throughput_workers > 0) {
+        flags.has("snapshot") || flags.has("resume") || shards > 0) {
       throw std::invalid_argument(
           "--connect is incompatible with --dataset, --trace, --snapshot, "
-          "--resume and --throughput-workers");
+          "--resume and --shards");
     }
     if (sessions < 1) {
       throw std::invalid_argument("--sessions must be >= 1");
@@ -626,10 +625,9 @@ int run(int argc, char** argv) {
                        flags.get_string("suite", "tf"), *dataset, b, choice,
                        faults, seed, sessions, mode);
   }
-  if (throughput_workers > 0 && sessions <= 1) {
+  if (shards > 0 && sessions <= 1) {
     throw std::invalid_argument(
-        "--throughput-workers schedules concurrent sessions and requires "
-        "--sessions N with N > 1");
+        "--shards requires --serve, or --sessions N with N > 1");
   }
   if (sessions > 1) {
     if (flags.get_bool("trace", false)) {
@@ -642,7 +640,7 @@ int run(int argc, char** argv) {
                 dataset->job_name().c_str(), dataset->size(),
                 problem.tmax_seconds, problem.budget, sessions);
     return run_sessions(*dataset, problem, choice, faults, seed, sessions,
-                        throughput_workers);
+                        shards);
   }
 
   core::TraceRecorder trace;

@@ -11,9 +11,10 @@ GITHUB_STEP_SUMMARY is set, the job summary) and enforces two bars:
     reach `--min-speedup` (default 1.5x) p50 speedup over the same mode
     at workers=1.
   * session_scaling: decisions/s across `--sessions` (default 64)
-    concurrent sessions in throughput mode at the maximum measured worker
-    count must reach `--session-min-speedup` (default 3x) over the
-    single-threaded FIFO loop (workers=0).
+    concurrent sessions in the sharded drain at the maximum measured
+    thread count (`workers` = draining shard threads; bench_micro
+    measures 1 and nproc) must reach `--session-min-speedup` (default 3x)
+    over the single-threaded FIFO loop (workers=0).
 
 A net_throughput section (the loopback TCP front-end, src/net/) is
 rendered alongside the other tables when present — recorded for the
@@ -23,7 +24,7 @@ both wire encodings, a json-vs-binary "wire tax" table is added so the
 frame-format savings read directly off the job summary.
 
 Runners whose maximum is below 2 workers cannot measure scaling and pass
-with a skip note — the 1-core dev box records w in {0, 1} only. A missing
+with a skip note — a 1-core box records w in {0, 1} only. A missing
 session_scaling section is a skip note by default (old baselines) but a
 hard failure with --require-sessions, which the CI scaling job passes so
 a silently dropped bench section cannot disable the gate.
@@ -156,7 +157,7 @@ def gate(entries, space, la, mode, min_speedup, out=print):
 
 
 def gate_sessions(entries, sessions, min_speedup, out=print):
-    """Gates throughput-mode decisions/s at `sessions` concurrent sessions
+    """Gates sharded-drain decisions/s at `sessions` concurrent sessions
     vs the single-threaded FIFO loop. Returns 0 (pass/skip) or 1."""
     curve = [e for e in entries if e["sessions"] == sessions]
     if not curve:

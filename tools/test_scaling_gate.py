@@ -164,7 +164,7 @@ class ScalingGateTest(unittest.TestCase):
                            "session_scaling": sessions}, args), 0)
 
     def test_session_gate_skips_on_single_worker_runner(self):
-        # 1-core dev box shape: throughput mode only measured at w0/w1.
+        # 1-core box shape: the sharded drain only measured at w0/w1.
         sessions = [sentry(0, 3000.0), sentry(1, 2800.0, speedup=0.93)]
         self.assertEqual(
             self.run_main({"decision_scaling": passing_decision_curve(),

@@ -9,7 +9,7 @@
 /// UB) and fails the pipeline.
 ///
 ///   trajectory_dump [--out=PATH] [--incremental] [--branch-parallel]
-///                   [--via-steps] [--throughput-workers=N]
+///                   [--via-steps] [--shards=N] [--faults]
 ///
 /// `--incremental` (or the LYNCEUS_INCREMENTAL_REFIT=1 environment toggle)
 /// runs every case with Options::incremental_refit on. Those trajectories
@@ -35,22 +35,21 @@
 /// completion order — and CI diffs the via-steps dump against the classic
 /// dump per build and across toolchains. The header omits this flag too.
 ///
-/// `--throughput-workers=N` (N >= 1) runs every case as a concurrent
-/// TuningService session drained through the worker-pool throughput
-/// scheduler against the asynchronous replay runner, instead of the
-/// classic closed loop. The per-session determinism contract
-/// (service/tuning_service.hpp) pins each session's trajectory
-/// byte-identical to its solo run, so this dump — including its `--faults`
-/// variant — must NOT change the output: CI diffs the throughput dump
-/// against the classic dump per build and across toolchains as the
-/// throughput-determinism check. The header omits this flag too.
-/// Exclusive with --branch-parallel and --via-steps (the throughput
-/// scheduler owns the scheduling; mixing modes would test nothing).
+/// `--shards=N` (N >= 1) runs every case as a concurrent TuningService
+/// session, session i on shard i % N, drained by N threads through
+/// service::drain_sharded against the asynchronous replay runner, instead
+/// of the classic closed loop. Every shard is a FIFO service, so each
+/// session's trajectory is byte-identical to its solo run and this dump —
+/// including its `--faults` variant — must NOT change the output: CI
+/// diffs the sharded dump against the classic dump per build and across
+/// toolchains. The header omits this flag too. Exclusive with
+/// --branch-parallel and --via-steps (mixing modes would test nothing).
 ///
 /// `--faults` appends a fault-injection scenario: concurrent TuningService
-/// sessions fed by the asynchronous replay runner under a seeded
-/// FaultPlan, with retries, timeouts and quarantine active (the
-/// fault-determinism contract in eval/runner.hpp). Every session's id
+/// sessions (on one FIFO service, or on N shards with --shards=N) fed by
+/// the asynchronous replay runner under a seeded FaultPlan, with retries,
+/// timeouts and quarantine active (the fault-determinism contract in
+/// eval/runner.hpp). Every session's id
 /// sequence, failure ledger and stop reason are printed and hashed, so CI
 /// can diff the faulted dump across build modes exactly like the plain
 /// one — a divergence means the failure paths, not just the happy path,
@@ -59,6 +58,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -110,6 +110,68 @@ void print_case(std::ostringstream& out, const std::string& name,
       << " hash=" << h << "\n";
 }
 
+/// The multi-constraint case's synthetic energy metric (same
+/// construction as bench_micro's fixture).
+double scout_energy(const cloud::Dataset& scout, space::ConfigId id) {
+  return 0.05 * scout.runtime(id) * (1.0 + 0.1 * static_cast<double>(id % 7));
+}
+
+eval::TableRunner::MetricsFn scout_energy_metrics(
+    const cloud::Dataset& scout) {
+  return [&scout](space::ConfigId id) {
+    return std::vector<double>{scout_energy(scout, id)};
+  };
+}
+
+/// Energy capped at 1.5x the cheapest feasible configuration's.
+core::ConstraintDef scout_energy_cap(const cloud::Dataset& scout) {
+  double min_energy = 1e300;
+  for (space::ConfigId id = 0; id < scout.size(); ++id) {
+    if (scout.feasible(id)) {
+      min_energy = std::min(min_energy, scout_energy(scout, id));
+    }
+  }
+  const double cap = 1.5 * min_energy;
+  core::ConstraintDef c;
+  c.name = "energy";
+  c.metric_index = 0;
+  c.threshold = [cap](core::ConfigId) { return cap; };
+  return c;
+}
+
+/// One session's outcome after a sharded drain.
+struct SessionOutcome {
+  core::OptimizerResult result;
+  std::string stop_reason;
+  bool quarantined = false;
+};
+
+/// Opens steppers[i] on shard i % `shards` (each shard a FIFO service
+/// with `sopts` and its own copy of `runner`), drains them with
+/// service::drain_sharded, and returns the outcomes in input order. One
+/// shard is exactly the FIFO drain() on the calling thread.
+std::vector<SessionOutcome> drain_on_shards(
+    std::vector<std::unique_ptr<core::OptimizerStepper>> steppers,
+    std::size_t shards, const service::TuningService::Options& sopts,
+    const eval::AsyncTableRunner& runner) {
+  std::vector<service::TuningService> services;
+  services.reserve(shards);
+  for (std::size_t k = 0; k < shards; ++k) services.emplace_back(sopts);
+  std::vector<eval::AsyncTableRunner> runners(shards, runner);
+  std::vector<service::SessionId> ids;
+  for (std::size_t i = 0; i < steppers.size(); ++i) {
+    ids.push_back(services[i % shards].open(std::move(steppers[i])));
+  }
+  service::drain_sharded(services, runners);
+  std::vector<SessionOutcome> out;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const service::TuningService& svc = services[i % shards];
+    out.push_back({svc.result(ids[i]), svc.stop_reason(ids[i]),
+                   svc.quarantined(ids[i])});
+  }
+  return out;
+}
+
 /// The --faults scenario: three Lynceus sessions on the scout workload,
 /// drained through the TuningService against the asynchronous replay
 /// runner under a seeded storm (failures, hangs, stragglers) with the full
@@ -117,10 +179,9 @@ void print_case(std::ostringstream& out, const std::string& name,
 /// ledger as id@after_samples, recommendation, stop reason — plus a hash
 /// over ids, failures and the quarantine bit. The scenario draws no
 /// randomness outside the fixed seeds, so it is byte-identical across
-/// runs and must stay byte-identical across build modes.
+/// runs, build modes and shard counts.
 void print_fault_cases(std::ostringstream& out, bool incremental,
-                       std::size_t throughput_workers,
-                       std::uint64_t& combined) {
+                       std::size_t shards, std::uint64_t& combined) {
   const auto scout = cloud::make_scout_datasets().front();
   const auto problem = eval::make_problem(scout, 3.0);
 
@@ -132,31 +193,29 @@ void print_fault_cases(std::ostringstream& out, bool incremental,
   plan.straggler_factor = 3.0;
 
   service::TuningService::Options sopts;
-  sopts.throughput_workers = throughput_workers;
   sopts.run_policy.max_attempts = 2;
   sopts.run_policy.backoff_base_seconds = 5.0;
   sopts.run_policy.run_timeout_seconds = 600.0;
   sopts.run_policy.quarantine_after = 4;
-  service::TuningService svc(sopts);
 
-  std::vector<service::SessionId> ids;
+  std::vector<std::unique_ptr<core::OptimizerStepper>> steppers;
   for (std::uint64_t seed = 21; seed <= 23; ++seed) {
     core::LynceusOptions opts;
     opts.lookahead = 1;
     opts.screen_width = 24;
     opts.incremental_refit = incremental;
-    opts.pool = svc.shared_pool();
-    core::LynceusOptimizer lyn(opts);
-    ids.push_back(svc.open(lyn.make_stepper(problem, seed)));
+    steppers.push_back(
+        core::LynceusOptimizer(opts).make_stepper(problem, seed));
   }
 
   eval::AsyncTableRunner async(scout);
   async.set_fault_plan(plan);
-  service::drain(svc, async);
+  const auto outcomes =
+      drain_on_shards(std::move(steppers), shards, sopts, async);
 
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const auto r = svc.result(ids[i]);
-    const bool quarantined = svc.quarantined(ids[i]);
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const auto& r = outcomes[i].result;
+    const bool quarantined = outcomes[i].quarantined;
     out << "faults_s" << (21 + i) << ": ids=";
     for (std::size_t k = 0; k < r.history.size(); ++k) {
       if (k > 0) out << ",";
@@ -176,83 +235,65 @@ void print_fault_cases(std::ostringstream& out, bool incremental,
     combined = fnv1a(combined, h);
     out << " rec="
         << (r.recommendation ? static_cast<long>(*r.recommendation) : -1L)
-        << " stop=\"" << svc.stop_reason(ids[i]) << "\""
+        << " stop=\"" << outcomes[i].stop_reason << "\""
         << (quarantined ? " quarantined" : "") << " hash=" << h << "\n";
   }
 }
 
-/// The --throughput-workers path: the same five golden cases, opened as
-/// concurrent TuningService sessions and drained through the worker-pool
-/// throughput scheduler. Sessions are grouped per dataset (one service +
-/// one asynchronous replay runner each); the scout service carries the
-/// three single-constraint lookaheads *and* the multi-constraint case in
-/// one drain — the runner exposes the energy metrics to every session,
-/// and the single-constraint steppers ignore them. Results are printed in
-/// the classic fixed order so the dump byte-compares against the serial
-/// one.
-void print_throughput_cases(std::ostringstream& out, bool incremental,
-                            std::size_t workers, std::uint64_t& combined) {
+/// The --shards path: the same five golden cases, opened as concurrent
+/// TuningService sessions and drained through the sharded drain. Sessions
+/// are grouped per dataset (one replay runner per shard each); the scout
+/// group carries the three single-constraint lookaheads *and* the
+/// multi-constraint case — the runner exposes the energy metrics to every
+/// session, and the single-constraint steppers ignore them. Results are
+/// printed in the classic fixed order so the dump byte-compares against
+/// the serial one.
+void print_sharded_cases(std::ostringstream& out, bool incremental,
+                         std::size_t shards, std::uint64_t& combined) {
   const auto scout = cloud::make_scout_datasets().front();
   const auto tf = cloud::make_tensorflow_dataset(cloud::TfModel::CNN);
-  auto energy_of = [&scout](space::ConfigId id) {
-    return 0.05 * scout.runtime(id) *
-           (1.0 + 0.1 * static_cast<double>(id % 7));
-  };
+  const service::TuningService::Options sopts;
 
-  service::TuningService::Options sopts;
-  sopts.throughput_workers = workers;
-
-  service::TuningService scout_svc(sopts);
-  std::vector<service::SessionId> scout_ids;
+  std::vector<std::unique_ptr<core::OptimizerStepper>> scout_steppers;
   const auto scout_problem = eval::make_problem(scout, 3.0);
   for (unsigned la = 0; la <= 2; ++la) {
     core::LynceusOptions opts;
     opts.lookahead = la;
     opts.screen_width = 24;
     opts.incremental_refit = incremental;
-    core::LynceusOptimizer lyn(opts);
-    scout_ids.push_back(scout_svc.open(lyn.make_stepper(scout_problem, 1)));
+    scout_steppers.push_back(
+        core::LynceusOptimizer(opts).make_stepper(scout_problem, 1));
   }
   {
-    double min_energy = 1e300;
-    for (space::ConfigId id = 0; id < scout.size(); ++id) {
-      if (scout.feasible(id)) {
-        min_energy = std::min(min_energy, energy_of(id));
-      }
-    }
-    const double cap = 1.5 * min_energy;
-    core::ConstraintDef c;
-    c.name = "energy";
-    c.metric_index = 0;
-    c.threshold = [cap](core::ConfigId) { return cap; };
     core::MultiConstraintOptions opts;
     opts.lookahead = 1;
     opts.incremental_refit = incremental;
-    core::MultiConstraintLynceus lyn({c}, opts);
-    scout_ids.push_back(scout_svc.open(lyn.make_stepper(scout_problem, 7)));
+    scout_steppers.push_back(
+        core::MultiConstraintLynceus({scout_energy_cap(scout)}, opts)
+            .make_stepper(scout_problem, 7));
   }
-  eval::AsyncTableRunner scout_async(scout, [&](space::ConfigId id) {
-    return std::vector<double>{energy_of(id)};
-  });
-  service::drain(scout_svc, scout_async);
+  const eval::AsyncTableRunner scout_async(scout,
+                                           scout_energy_metrics(scout));
+  const auto scout_out =
+      drain_on_shards(std::move(scout_steppers), shards, sopts, scout_async);
 
-  service::TuningService tf_svc(sopts);
   core::LynceusOptions tf_opts;
   tf_opts.lookahead = 1;
   tf_opts.screen_width = 24;
   tf_opts.incremental_refit = incremental;
-  core::LynceusOptimizer tf_lyn(tf_opts);
   const auto tf_problem = eval::make_problem(tf, 2.0);
-  const auto tf_id = tf_svc.open(tf_lyn.make_stepper(tf_problem, 3));
-  eval::AsyncTableRunner tf_async(tf);
-  service::drain(tf_svc, tf_async);
+  std::vector<std::unique_ptr<core::OptimizerStepper>> tf_steppers;
+  tf_steppers.push_back(
+      core::LynceusOptimizer(tf_opts).make_stepper(tf_problem, 3));
+  const auto tf_out = drain_on_shards(std::move(tf_steppers), shards, sopts,
+                                      eval::AsyncTableRunner(tf));
 
   for (unsigned la = 0; la <= 2; ++la) {
-    print_case(out, "scout_la" + std::to_string(la),
-               scout_svc.result(scout_ids[la]), combined);
+    print_case(out, "scout_la" + std::to_string(la), scout_out[la].result,
+               combined);
   }
-  print_case(out, "tf_cnn_la1", tf_svc.result(tf_id), combined);
-  print_case(out, "scout_mc_la1", scout_svc.result(scout_ids[3]), combined);
+  print_case(out, "tf_cnn_la1", tf_out[0].result, combined);
+  print_case(out, "scout_mc_la1", scout_out[3].result, combined);
 }
 
 /// Drives a stepper by explicit ask/tell, resolving every batch in
@@ -313,33 +354,15 @@ void print_classic_cases(std::ostringstream& out, bool incremental,
     print_case(out, "tf_cnn_la1", r, combined);
   }
 
-  // Multi-constraint run with a synthetic energy cap (same construction
-  // as bench_micro's fixture).
+  // Multi-constraint run with a synthetic energy cap.
   {
-    auto energy_of = [&scout](space::ConfigId id) {
-      return 0.05 * scout.runtime(id) *
-             (1.0 + 0.1 * static_cast<double>(id % 7));
-    };
-    double min_energy = 1e300;
-    for (space::ConfigId id = 0; id < scout.size(); ++id) {
-      if (scout.feasible(id)) {
-        min_energy = std::min(min_energy, energy_of(id));
-      }
-    }
-    const double cap = 1.5 * min_energy;
-    core::ConstraintDef c;
-    c.name = "energy";
-    c.metric_index = 0;
-    c.threshold = [cap](core::ConfigId) { return cap; };
     core::MultiConstraintOptions opts;
     opts.lookahead = 1;
     opts.incremental_refit = incremental;
     opts.pool = pool;
     opts.branch_parallel = branch_parallel;
-    core::MultiConstraintLynceus lyn({c}, opts);
-    eval::TableRunner runner(scout, [&](space::ConfigId id) {
-      return std::vector<double>{energy_of(id)};
-    });
+    core::MultiConstraintLynceus lyn({scout_energy_cap(scout)}, opts);
+    eval::TableRunner runner(scout, scout_energy_metrics(scout));
     const auto problem = eval::make_problem(scout, 3.0);
     const auto r = via_steps
                        ? drive_via_steps(*lyn.make_stepper(problem, 7), runner)
@@ -356,7 +379,7 @@ int main(int argc, char** argv) {
   bool branch_parallel = lynceus::util::env_flag("LYNCEUS_BRANCH_PARALLEL");
   bool via_steps = false;
   bool faults = false;
-  std::size_t throughput_workers = 0;
+  std::size_t shards = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--out=", 0) == 0) {
@@ -369,25 +392,24 @@ int main(int argc, char** argv) {
       via_steps = true;
     } else if (arg == "--faults") {
       faults = true;
-    } else if (arg.rfind("--throughput-workers=", 0) == 0) {
+    } else if (arg.rfind("--shards=", 0) == 0) {
       // Checked parse: the whole value must be a decimal integer. A bare
       // std::stoul here used to throw uncaught on `=` / `=abc` (terminate
       // instead of a usage error) and silently accept trailing junk.
-      const std::string value = arg.substr(21);
+      const std::string value = arg.substr(9);
       std::size_t consumed = 0;
       bool ok = !value.empty();
       if (ok) {
         try {
-          throughput_workers =
-              static_cast<std::size_t>(std::stoul(value, &consumed));
+          shards = static_cast<std::size_t>(std::stoul(value, &consumed));
         } catch (const std::exception&) {
           ok = false;
         }
       }
       if (!ok || consumed != value.size()) {
         std::fprintf(stderr,
-                     "trajectory_dump: invalid --throughput-workers value "
-                     "'%s' (expected a non-negative integer)\n",
+                     "trajectory_dump: invalid --shards value '%s' "
+                     "(expected a non-negative integer)\n",
                      value.c_str());
         return 2;
       }
@@ -400,9 +422,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (throughput_workers > 0 && (branch_parallel || via_steps)) {
+  if (shards > 0 && (branch_parallel || via_steps)) {
     std::fprintf(stderr,
-                 "trajectory_dump: --throughput-workers is exclusive with "
+                 "trajectory_dump: --shards is exclusive with "
                  "--branch-parallel/--via-steps\n");
     return 1;
   }
@@ -420,15 +442,16 @@ int main(int argc, char** argv) {
   std::uint64_t combined = kFnvOffset;
   out << "incremental_refit=" << (incremental ? 1 : 0) << "\n";
 
-  if (throughput_workers > 0) {
-    print_throughput_cases(out, incremental, throughput_workers, combined);
+  if (shards > 0) {
+    print_sharded_cases(out, incremental, shards, combined);
   } else {
     print_classic_cases(out, incremental, branch_parallel, via_steps,
                         pool ? &*pool : nullptr, combined);
   }
 
   if (faults) {
-    print_fault_cases(out, incremental, throughput_workers, combined);
+    print_fault_cases(out, incremental, std::max<std::size_t>(shards, 1),
+                      combined);
   }
 
   out << "combined_hash=" << combined << "\n";
