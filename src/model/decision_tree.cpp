@@ -31,7 +31,9 @@ struct DecisionTree::BuildCtx {
   std::vector<std::uint32_t>& idx;
   std::vector<double>& y;
   // Per-(feature, level) scratch for the fused split scan, reused across
-  // nodes (sized cols * max_level_count).
+  // nodes (sized cols * max_level_count). Invariant: every bucket is zero
+  // between scans — fit() and append_incremental() zero the whole buffer
+  // before build(), and each scan zeroes the buckets it filled.
   std::vector<std::uint32_t>& cnt;
   std::vector<double>& sum;
   // Feature-subset scratch.
@@ -387,6 +389,23 @@ std::int32_t DecisionTree::build(BuildCtx& ctx, std::size_t begin,
     }
   }
 
+  const std::uint32_t* const idx = ctx.idx.data();
+  const double* const yv = ctx.y.data();
+
+  // A node holding only copies of one configuration cannot split: every
+  // feature is constant on it, so both scans below would find nothing.
+  // Bootstrap resamples make such nodes common. The check runs after the
+  // feature draw, so the RNG stream is the one a full scan leaves, and the
+  // sum accumulates in row order, as the scan would.
+  bool one_config = true;
+  for (std::size_t i = begin + 1; i < end && one_config; ++i) {
+    one_config = idx[i] == idx[begin];
+  }
+  if (one_config) {
+    for (std::size_t i = begin; i < end; ++i) total_sum += yv[i];
+    return make_leaf(total_sum / static_cast<double>(n));
+  }
+
   // Variance-reduction split search. Maximizing
   //   S(split) = s_L^2/n_L + s_R^2/n_R
   // is equivalent to minimizing the summed squared error of the two
@@ -402,9 +421,14 @@ std::int32_t DecisionTree::build(BuildCtx& ctx, std::size_t begin,
   // receives its targets in row order, so sums are bitwise identical to a
   // per-feature scan, and the threshold sweep evaluates candidates in the
   // same (feature, code) order.
+  //
+  // The sweep visits only the occupied levels between a feature's lowest
+  // and highest code on this node. That is exact: below the lowest code
+  // the left side is empty and from the highest code on the right side
+  // is, so no candidate is scored there; an empty level in between adds
+  // +0.0 (bucket sums start at +0.0, so they are never -0.0) and repeats
+  // the previous candidate's score, which the strict `>` never takes.
   const std::size_t stride = fm.max_level_count();
-  const std::uint32_t* const idx = ctx.idx.data();
-  const double* const yv = ctx.y.data();
   auto scan_chunk = [&](std::size_t from, std::size_t to,
                         bool accumulate_total) {
     const std::size_t nf = to - from;
@@ -413,15 +437,14 @@ std::int32_t DecisionTree::build(BuildCtx& ctx, std::size_t begin,
     std::uint16_t sel[kMaxFeatures];
     std::uint32_t* cntk[kMaxFeatures];
     double* sumk[kMaxFeatures];
+    std::uint16_t lo[kMaxFeatures];
+    std::uint16_t hi[kMaxFeatures];
     for (std::size_t k = 0; k < nf; ++k) {
       sel[k] = ctx.feature_order[from + k];
       cntk[k] = ctx.cnt.data() + k * stride;
       sumk[k] = ctx.sum.data() + k * stride;
-      const std::uint16_t levels = fm.level_count(sel[k]);
-      for (std::uint16_t c = 0; c < levels; ++c) {
-        cntk[k][c] = 0;
-        sumk[k][c] = 0.0;
-      }
+      lo[k] = std::numeric_limits<std::uint16_t>::max();
+      hi[k] = 0;
     }
     for (std::size_t i = begin; i < end; ++i) {
       const std::uint16_t* row = fm.row_codes(idx[i]);
@@ -431,16 +454,19 @@ std::int32_t DecisionTree::build(BuildCtx& ctx, std::size_t begin,
         const std::uint16_t c = row[sel[k]];
         ++cntk[k][c];
         sumk[k][c] += yi;
+        lo[k] = std::min(lo[k], c);
+        hi[k] = std::max(hi[k], c);
       }
     }
     for (std::size_t k = 0; k < nf; ++k) {
-      const std::uint16_t levels = fm.level_count(sel[k]);
       std::uint32_t n_left = 0;
       double s_left = 0.0;
-      for (std::uint16_t c = 0; c + 1 < levels; ++c) {
+      // Every threshold in [lo, hi) with rows of its own leaves both
+      // sides non-empty.
+      for (std::uint16_t c = lo[k]; c < hi[k]; ++c) {
+        if (cntk[k][c] == 0) continue;
         n_left += cntk[k][c];
         s_left += sumk[k][c];
-        if (n_left == 0 || n_left == n) continue;
         const auto n_right = static_cast<double>(n - n_left);
         const double s_right = total_sum - s_left;
         const double score = s_left * s_left / static_cast<double>(n_left) +
@@ -450,6 +476,11 @@ std::int32_t DecisionTree::build(BuildCtx& ctx, std::size_t begin,
           best_feature = static_cast<std::int16_t>(sel[k]);
           best_code = c;
         }
+      }
+      // Restore the zero-buckets invariant for the next scan.
+      for (std::uint16_t c = lo[k]; c <= hi[k]; ++c) {
+        cntk[k][c] = 0;
+        sumk[k][c] = 0.0;
       }
     }
   };

@@ -54,6 +54,8 @@ TuningServer::TuningServer(Options options) : options_(std::move(options)) {
   port_ = local_port(listener_.fd());
 
   const std::size_t k = options_.shards;
+  shard_pool_workers_ =
+      shard_pool_width(std::thread::hardware_concurrency(), k);
   accept_lanes_.reserve(k);
   request_lanes_.resize(k);
   reply_lanes_.resize(k);
@@ -621,6 +623,7 @@ void TuningServer::shard_loop(std::size_t s) {
   sopts.root_cache_capacity = options_.root_cache_capacity;
   sopts.cache_store_models = options_.cache_store_models;
   sopts.run_policy = options_.run_policy;
+  sopts.pool_workers = shard_pool_workers_;
   service::TuningService svc(sopts);
 
   struct SessionInfo {
@@ -818,18 +821,18 @@ void TuningServer::shard_loop(std::size_t s) {
   util::Backoff backoff;
   int idle_streak = 0;
   while (true) {
-    bool busy = false;
     bool overflowing = false;
     for (std::size_t t = 0; t < k; ++t) {
       if (!flush_overflow(t)) overflowing = true;
     }
-    for (std::size_t t = 0; t < k; ++t) {
-      ShardRequest sr;
-      while (request_lanes_[t][s]->try_pop(sr)) {
-        busy = true;
-        handle(sr);
-      }
-    }
+    // One request per transport lane per pass: a saturated lane cannot
+    // starve the others, and each connection (one lane) stays FIFO.
+    const bool busy = util::serve_round_robin(
+        k,
+        [&](std::size_t t) -> util::SpscQueue<ShardRequest>& {
+          return *request_lanes_[t][s];
+        },
+        handle);
     if (busy) {
       backoff.reset();
       idle_streak = 0;

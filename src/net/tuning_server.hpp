@@ -8,7 +8,8 @@
 ///
 /// ## Thread-per-role layout
 ///
-/// One server runs 2·K + 1 threads for K shards, wired exclusively by
+/// One server runs 2·K + 1 threads for K shards (plus each shard's
+/// root-simulation pool, see Options::shards), wired exclusively by
 /// bounded lock-free SPSC queues (util/spsc_queue.hpp) — each lane has
 /// exactly one writer and one reader by construction, so no lock is ever
 /// taken on the request path:
@@ -32,7 +33,8 @@
 ///     with a typed fatal `error` frame and the connection is closed —
 ///     the service loops never see it.
 ///   * **K service-loop threads** each own one `service::TuningService`
-///     (FIFO event loop, per-shard RootCache): pop requests, apply them,
+///     (FIFO event loop, per-shard RootCache and root-simulation pool):
+///     pop requests round-robin across the transport lanes, apply them,
 ///     sweep `next_runs()`, and push replies + server-initiated `run`
 ///     frames back to the transports. The server itself executes no
 ///     profiling runs — remote drivers own their clusters (or replay
@@ -70,9 +72,11 @@
 /// session lives entirely on one single-threaded shard loop, and the
 /// per-session trajectory contract of service/tuning_service.hpp is
 /// interleaving-independent — so neither the transport threads, the
-/// shard count, nor the number of concurrent connections can move a byte
-/// of any trajectory. tests/test_net_service.cpp pins 64 remote sessions
-/// across shards against their solo in-process runs.
+/// shard count, the shards' pool width, nor the number of concurrent
+/// connections can move a byte of any trajectory.
+/// tests/test_net_service.cpp pins 64 remote sessions across shards, and
+/// TF/Scout LA=2 sessions on a pooled shard, against their solo
+/// in-process runs.
 
 #include <atomic>
 #include <cstdint>
@@ -89,6 +93,7 @@
 #include "net/socket.hpp"
 #include "service/session_spec.hpp"
 #include "util/spsc_queue.hpp"
+#include "util/thread_pool.hpp"
 
 namespace lynceus::net {
 
@@ -108,6 +113,17 @@ class TuningServer {
     std::uint16_t port = 0;
     /// Independent service loops (>= 1); sessions are partitioned by
     /// `session_id % shards`.
+    ///
+    /// Each shard's TuningService also gets a root-simulation pool sized
+    /// from the host, with no option of its own: shard_pool_width(), the
+    /// library's pool sizing rule (util::worker_count_for) applied to one
+    /// shard's share of the hardware threads. 2 shards on 4 cores get 1
+    /// worker each; 1- and 2-core hosts get none, and decisions run
+    /// inline on the shard thread. The pool fans a decision's roots out
+    /// (§4.3 of the paper: paths rooted at distinct configurations are
+    /// independent) and merges their values in root order, so the width
+    /// changes only the wall clock, never a trajectory
+    /// (core/lookahead.hpp's pooled-determinism contract).
     std::size_t shards = 2;
     /// Per-shard RootCache capacity (0 = off). Sessions sharing a shard
     /// AND a recurrent problem warm-start each other, exactly as in the
@@ -166,6 +182,20 @@ class TuningServer {
   /// The bound listening port (resolves ephemeral binds).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
+  /// Root-simulation pool workers per shard for `shards` shards on a host
+  /// reporting `hw` hardware threads: util::worker_count_for(hw / shards).
+  /// 0 means decisions run inline on the shard thread.
+  [[nodiscard]] static constexpr std::size_t shard_pool_width(
+      unsigned hw, std::size_t shards) noexcept {
+    return shards == 0 ? 0 : util::worker_count_for(
+                                 static_cast<unsigned>(hw / shards));
+  }
+
+  /// The pool width every shard of this server runs with.
+  [[nodiscard]] std::size_t shard_pool_workers() const noexcept {
+    return shard_pool_workers_;
+  }
+
   /// Stops accepting, closes every connection, joins all threads. Open
   /// sessions are discarded (snapshot first for a graceful drain).
   /// Idempotent.
@@ -223,6 +253,7 @@ class TuningServer {
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> next_session_{0};
+  std::size_t shard_pool_workers_ = 0;
 
   std::vector<std::unique_ptr<util::SpscQueue<NewConn>>> accept_lanes_;
   /// request_lanes_[t][s]: transport t → shard s.

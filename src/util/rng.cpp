@@ -18,12 +18,6 @@ std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t stream) noexcept {
   return splitmix64(state);
 }
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);
@@ -43,18 +37,6 @@ void Rng::set_state(const State& state) noexcept {
   has_spare_ = state.has_spare;
 }
 
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
 double Rng::uniform() noexcept {
   // 53 significant bits, uniform in [0, 1).
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
@@ -62,22 +44,6 @@ double Rng::uniform() noexcept {
 
 double Rng::uniform(double lo, double hi) noexcept {
   return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t Rng::below(std::uint64_t n) noexcept {
-  // Lemire's multiply-shift rejection method: unbiased for any n > 0.
-  std::uint64_t x = (*this)();
-  __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < n) {
-    const std::uint64_t threshold = (0ULL - n) % n;
-    while (lo < threshold) {
-      x = (*this)();
-      m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
 }
 
 std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) noexcept {

@@ -43,8 +43,19 @@ class Rng {
     return std::numeric_limits<result_type>::max();
   }
 
-  /// Next raw 64-bit value.
-  result_type operator()() noexcept;
+  /// Next raw 64-bit value. Inline, like below(): tree fits draw from it
+  /// at every split.
+  result_type operator()() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
   [[nodiscard]] double uniform() noexcept;
@@ -54,7 +65,20 @@ class Rng {
 
   /// Uniform integer in [0, n). Requires `n > 0`. Uses Lemire's unbiased
   /// bounded-rejection method.
-  [[nodiscard]] std::uint64_t below(std::uint64_t n) noexcept;
+  [[nodiscard]] std::uint64_t below(std::uint64_t n) noexcept {
+    std::uint64_t x = (*this)();
+    __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < n) {
+      const std::uint64_t threshold = (0ULL - n) % n;
+      while (lo < threshold) {
+        x = (*this)();
+        m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires `lo <= hi`.
   [[nodiscard]] std::int64_t range(std::int64_t lo, std::int64_t hi) noexcept;
@@ -106,6 +130,10 @@ class Rng {
   void set_state(const State& state) noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   double spare_normal_ = 0.0;
   bool has_spare_ = false;

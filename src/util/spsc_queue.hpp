@@ -36,6 +36,7 @@
 #include <memory>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 namespace lynceus::util {
@@ -49,6 +50,8 @@ inline constexpr std::size_t kCacheLineSize = 64;
 template <typename T>
 class SpscQueue {
  public:
+  using value_type = T;
+
   /// Builds a ring holding at most `capacity` elements (rounded up to the
   /// next power of two so index arithmetic is a mask). Capacity must be
   /// >= 1.
@@ -154,6 +157,25 @@ class SpscQueue {
   alignas(kCacheLineSize) std::atomic<std::uint64_t> head_{0};
   std::uint64_t tail_cache_ = 0;
 };
+
+/// One fair pass of a consumer over `lanes` queues: pops at most one item
+/// from each lane, in index order, and hands it to `serve`. `lane_at(i)`
+/// returns the i-th queue. Returns whether any lane had an item. Called
+/// until it returns false, it serves pre-filled lanes alternately, so a
+/// saturated lane cannot starve the others, and each lane stays FIFO.
+template <typename LaneAt, typename Serve>
+bool serve_round_robin(std::size_t lanes, LaneAt&& lane_at, Serve&& serve) {
+  bool any = false;
+  for (std::size_t i = 0; i < lanes; ++i) {
+    auto& lane = lane_at(i);
+    typename std::remove_reference_t<decltype(lane)>::value_type item;
+    if (lane.try_pop(item)) {
+      any = true;
+      serve(item);
+    }
+  }
+  return any;
+}
 
 /// Polite spin for poll loops over the lanes: a few pause-style hot spins,
 /// then yields to the OS scheduler so an oversubscribed host still makes

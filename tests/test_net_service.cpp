@@ -14,10 +14,13 @@
 #include <functional>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cloud/workloads.hpp"
+#include "eval/experiment.hpp"
 #include "eval/runner.hpp"
 #include "net/binary_codec.hpp"
 #include "net/tuning_client.hpp"
@@ -148,6 +151,108 @@ TEST(NetService, SixtyFourConcurrentRemoteSessionsMatchTheirSoloRuns) {
   EXPECT_GT(counts[0], 0U);
   EXPECT_GT(counts[1], 0U);
   EXPECT_EQ(counts[0] + counts[1], kSessions);
+}
+
+/// The sizing rule of every shard's root-simulation pool, as
+/// (hardware threads, shards) → workers per shard.
+TEST(NetService, ShardPoolWidthFollowsTheSizingRule) {
+  struct Case {
+    unsigned hw;
+    std::size_t shards;
+    std::size_t width;
+  };
+  const Case cases[] = {{0, 2, 0}, {1, 2, 0}, {2, 2, 0}, {4, 2, 1},
+                        {8, 2, 3}, {4, 1, 3}, {4, 8, 0}};
+  for (const Case& c : cases) {
+    EXPECT_EQ(TuningServer::shard_pool_width(c.hw, c.shards), c.width)
+        << "hw " << c.hw << ", shards " << c.shards;
+  }
+}
+
+/// One shard, so on any multi-core host its TuningService runs a
+/// root-simulation pool. LA=2 sessions on bundled TF and Scout jobs — the
+/// decisions the pool fans out; the second Scout session also runs
+/// intra-root branch parallelism and incremental refit — run
+/// concurrently on two connections and still match their solo, pool-free
+/// runs byte for byte.
+TEST(NetService, PooledShardLookaheadSessionsMatchTheirSoloRuns) {
+  TuningServer::Options opts;
+  opts.shards = 1;
+  opts.root_cache_capacity = 8;
+  TuningServer server(opts);
+  EXPECT_EQ(server.shard_pool_workers(),
+            TuningServer::shard_pool_width(
+                std::thread::hardware_concurrency(), 1));
+
+  struct Suite {
+    std::string name;
+    std::vector<cloud::Dataset> datasets;
+  };
+  const std::vector<Suite> suites = {
+      {"tf", cloud::make_tensorflow_datasets()},
+      {"scout", cloud::make_scout_datasets()}};
+  std::vector<std::vector<service::SessionSpec>> specs(suites.size());
+  std::uint64_t seed = 5;
+  for (std::size_t c = 0; c < suites.size(); ++c) {
+    for (const bool branchy : {false, true}) {
+      if (branchy && suites[c].name == "tf") continue;  // keeps TSan legs short
+      service::SessionSpec spec;
+      spec.optimizer = "lynceus";
+      spec.seed = seed++;
+      spec.problem_ref = {suites[c].name,
+                          suites[c].datasets.front().job_name(), 3.0};
+      spec.lookahead = 2;
+      spec.screen_width = 4;
+      spec.incremental_refit = branchy;
+      spec.branch_parallel = branchy;
+      specs[c].push_back(spec);
+    }
+  }
+
+  std::vector<std::vector<OptimizerResult>> remote(suites.size());
+  std::vector<std::string> errors(suites.size());
+  std::vector<std::thread> drivers;
+  for (std::size_t c = 0; c < suites.size(); ++c) {
+    drivers.emplace_back([&, c] {
+      try {
+        TuningClient client("127.0.0.1", server.port());
+        eval::AsyncTableRunner runner(suites[c].datasets.front());
+        std::vector<std::uint64_t> ids;
+        for (const service::SessionSpec& spec : specs[c]) {
+          ids.push_back(client.open(spec));
+        }
+        client.drain(runner);
+        for (const std::uint64_t id : ids) {
+          const TuningClient::ResultReply reply = client.result(id);
+          if (!reply.finished) {
+            throw std::runtime_error("session " + std::to_string(id) +
+                                     " not finished");
+          }
+          remote[c].push_back(reply.result);
+        }
+      } catch (const std::exception& e) {
+        errors[c] = e.what();
+      }
+    });
+  }
+  for (std::thread& t : drivers) t.join();
+
+  for (std::size_t c = 0; c < suites.size(); ++c) {
+    ASSERT_TRUE(errors[c].empty()) << suites[c].name << ": " << errors[c];
+    ASSERT_EQ(remote[c].size(), specs[c].size());
+    const cloud::Dataset& ds = suites[c].datasets.front();
+    const core::OptimizationProblem problem = eval::make_problem(ds, 3.0);
+    for (std::size_t i = 0; i < specs[c].size(); ++i) {
+      SCOPED_TRACE(suites[c].name + " session " + std::to_string(i));
+      service::SessionSpec spec = specs[c][i];
+      spec.problem = &problem;
+      eval::TableRunner solo(ds);
+      auto stepper = spec.make_stepper(nullptr, nullptr);
+      const OptimizerResult golden = core::drive(*stepper, solo);
+      EXPECT_GT(golden.decisions, 0U);
+      expect_identical(remote[c][i], golden);
+    }
+  }
 }
 
 /// All four optimizer kinds over the wire on one connection — exercises

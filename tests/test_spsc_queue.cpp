@@ -121,5 +121,28 @@ TEST(SpscQueue, StressStringPayload) {
   producer.join();
 }
 
+/// The shard loop's lane scheduler: two pre-filled lanes are served
+/// alternately, one request per lane per pass, each lane in FIFO order;
+/// the longer lane finishes alone once the shorter one is empty.
+TEST(SpscQueue, RoundRobinServesPreFilledLanesAlternately) {
+  std::vector<std::unique_ptr<SpscQueue<int>>> lanes;
+  for (int l = 0; l < 2; ++l) {
+    lanes.push_back(std::make_unique<SpscQueue<int>>(8));
+  }
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(lanes[0]->try_push(i));
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(lanes[1]->try_push(100 + i));
+
+  std::vector<int> served;
+  const auto lane_at = [&](std::size_t l) -> SpscQueue<int>& {
+    return *lanes[l];
+  };
+  const auto serve = [&](int v) { served.push_back(v); };
+  std::size_t passes = 0;
+  while (serve_round_robin(lanes.size(), lane_at, serve)) ++passes;
+  EXPECT_EQ(passes, 4U);
+  EXPECT_EQ(served, (std::vector<int>{0, 100, 1, 101, 2, 3}));
+  EXPECT_FALSE(serve_round_robin(lanes.size(), lane_at, serve));
+}
+
 }  // namespace
 }  // namespace lynceus::util

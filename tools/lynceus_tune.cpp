@@ -97,7 +97,9 @@ Flags:
               hash-partitioned across them. --max-retries/--run-timeout
               set the server's default RunPolicy; the tuning flags are
               unused (clients send their own SessionSpec).
-  --shards K         with --serve: number of service loops (default 2).
+  --shards K         with --serve: number of service loops (default 2);
+              each gets a root-simulation pool of
+              max(cores / K - 1, 0) workers (printed at startup).
               With --sessions: drain the sessions on K FIFO services, one
               thread each (session i on shard i % K), instead of one FIFO
               loop over the shared thread pool; shards run without the
@@ -436,8 +438,10 @@ int run_serve(std::uint16_t port, std::size_t shards,
       : wire == net::TuningServer::WirePolicy::kBinaryOnly ? "binary"
                                                            : "negotiate";
   std::printf(
-      "serving on 127.0.0.1:%u (%zu shards, wire %s) — EOF on stdin stops\n",
-      static_cast<unsigned>(server.port()), shards, wire_desc);
+      "serving on 127.0.0.1:%u (%zu shards, %zu pool workers per shard, "
+      "wire %s) — EOF on stdin stops\n",
+      static_cast<unsigned>(server.port()), shards,
+      server.shard_pool_workers(), wire_desc);
   std::fflush(stdout);
   int c;
   while ((c = std::fgetc(stdin)) != EOF) {
