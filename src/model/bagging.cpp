@@ -123,20 +123,26 @@ void BaggingEnsemble::predict_rows(const FeatureMatrix& fm,
   // slot: which entry point a slot serves first can change between
   // warm-up and steady state.
   s.ids.reserve(cap);
-  s.sum.assign(n, 0.0);
-  s.sumsq.assign(n, 0.0);
-  s.var_sum.assign(n, 0.0);
   // Tree-major sweep, each tree batching the whole row list (level-mask
   // walk or level-sync sweep over the flat layout) so every tree node is
-  // visited once instead of once per row. The per-row accumulation order
-  // over trees matches the scalar predict() loop, so results are bitwise
-  // identical.
+  // visited once instead of once per row. The trees share options, so the
+  // batch is planned — route chosen, row mask built — once for all of
+  // them. The dense route accumulates by row id; only the requested rows
+  // are finalized. The per-row accumulation order over trees matches the
+  // scalar predict() loop, so results are bitwise identical.
+  trees_.front().plan_batch(fm, rows, n, s);
+  const bool by_row = s.dense && rows != nullptr;
+  const std::size_t span = s.dense ? fm.rows() : n;
+  s.sum.assign(span, 0.0);
+  s.sumsq.assign(span, 0.0);
+  s.var_sum.assign(span, 0.0);
   for (const auto& tree : trees_) {
-    tree.accumulate_batch(fm, rows, n, s.sum.data(), s.sumsq.data(),
-                          total ? s.var_sum.data() : nullptr, &s);
+    tree.accumulate_planned(fm, rows, n, s.sum.data(), s.sumsq.data(),
+                            total ? s.var_sum.data() : nullptr, s);
   }
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = finalize(s.sum[i], s.sumsq[i], s.var_sum[i]);
+    const std::size_t k = by_row ? rows[i] : i;
+    out[i] = finalize(s.sum[k], s.sumsq[k], s.var_sum[k]);
   }
 }
 
@@ -179,11 +185,6 @@ void BaggingEnsemble::predict_all(const FeatureMatrix& fm,
     throw std::logic_error("BaggingEnsemble::predict_all: not fitted");
   }
   const std::size_t m = fm.rows();
-  // Warm the dense-subset gather target before out.resize — in the dense
-  // predict_subset route `out` *is* subset_full_, and the first batch call
-  // on this ensemble must size it even when that route only gets taken
-  // after the engines' warm-up pass.
-  subset_full_.reserve(m);
   out.resize(m);
   const std::size_t chunks = chunk_count(options_.predict_pool, m);
   ensure_scratch(chunks);
@@ -208,20 +209,9 @@ void BaggingEnsemble::predict_subset(const FeatureMatrix& fm,
     throw std::logic_error("BaggingEnsemble::predict_subset: not fitted");
   }
   out.resize(ids.size());
-  // Route-independent warm (see predict_all): a sparse-subset-first model
-  // must not allocate when it later takes the dense route.
-  subset_full_.reserve(fm.rows());
-  // Dense subsets take the identity (level-mask) walk of the *full* space
-  // and gather: per row it is ~2x cheaper than the sparse sweep, so once
-  // the subset covers most of the space — typical for the lookahead
-  // engines' first levels — predicting everything wins. Per-row results
-  // are bitwise identical across all batch entry points (the Regressor
-  // contract), so this is purely a routing decision.
-  if (2 * ids.size() >= fm.rows()) {
-    predict_all(fm, subset_full_);
-    for (std::size_t i = 0; i < ids.size(); ++i) out[i] = subset_full_[ids[i]];
-    return;
-  }
+  // A dense subset — typical for the lookahead engines' first levels —
+  // takes the level-mask walk restricted to its own rows (plan_batch), so
+  // only the requested rows are accumulated and finalized.
   const std::size_t chunks = chunk_count(options_.predict_pool, ids.size());
   ensure_scratch(chunks);
   chunked_parallel(options_.predict_pool, ids.size(), chunks,

@@ -160,7 +160,6 @@ class BaggingEnsemble final : public Regressor {
   // concurrently (the engines predict from per-workspace models; the
   // pool's chunks index distinct slots).
   mutable std::vector<PredictScratch> predict_scratch_;
-  mutable std::vector<Prediction> subset_full_;
 };
 
 }  // namespace lynceus::model

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -19,8 +20,31 @@ namespace lynceus::model {
 DecisionTree::DecisionTree(TreeOptions options) : options_(options) {}
 
 /// Upper bound on features statted per fused split-scan pass (bounds the
-/// scan's stack arrays; wider spaces just take several passes).
+/// scan's stack arrays and bucket slots; wider spaces take several passes).
 static constexpr std::size_t kMaxFeatures = 64;
+
+void DecisionTree::FitScratch::size_for(std::size_t cols_in,
+                                        std::size_t stride_in) {
+  cols = std::max(cols, cols_in);
+  stride = std::max(stride, stride_in);
+  const std::size_t slots = std::min(cols, kMaxFeatures);
+  const std::size_t words = (stride + 63) / 64;
+  // resize() value-initializes new entries, so the zero-bucket invariant
+  // holds for them too. A stride change relocates slots; every bucket is
+  // zero between scans, so any layout over zeros is valid.
+  if (cnt.size() < slots * stride) {
+    cnt.resize(slots * stride);
+    sum.resize(slots * stride);
+  }
+  if (occ.size() < slots * words) occ.resize(slots * words);
+  if (cand_code.size() < stride) {
+    cand_code.resize(stride);
+    cand_n.resize(stride);
+    cand_sum.resize(stride);
+    cand_score.resize(stride);
+  }
+  if (feature_order.size() < cols) feature_order.resize(cols);
+}
 
 /// Thin view over the fm/rng and the tree-owned FitScratch buffers (the
 /// vectors live in `scratch_` so refits reuse their capacity).
@@ -30,19 +54,30 @@ struct DecisionTree::BuildCtx {
   // Parallel arrays, partitioned in place as the tree grows.
   std::vector<std::uint32_t>& idx;
   std::vector<double>& y;
-  // Per-(feature, level) scratch for the fused split scan, reused across
-  // nodes (sized cols * max_level_count). Invariant: every bucket is zero
-  // between scans — fit() and append_incremental() zero the whole buffer
-  // before build(), and each scan zeroes the buckets it filled.
-  std::vector<std::uint32_t>& cnt;
-  std::vector<double>& sum;
-  // Feature-subset scratch.
-  std::vector<std::uint16_t>& feature_order;
+  // Split-scan scratch (FitScratch). Invariant: every (count, sum) bucket
+  // and every occupancy word is zero between scans. Buffers start zeroed
+  // and each scan clears exactly the buckets and words it set, which are
+  // the occupied levels it visits. So a refit never refills them.
+  FitScratch& scan;
 
-  explicit BuildCtx(FitScratch& s)
-      : idx(s.idx), y(s.y), cnt(s.cnt), sum(s.sum),
-        feature_order(s.feature_order) {}
+  explicit BuildCtx(FitScratch& s) : idx(s.idx), y(s.y), scan(s) {}
 };
+
+DecisionTree::BuildCtx DecisionTree::start_build(
+    const FeatureMatrix& fm, util::Rng& rng,
+    const std::vector<std::uint32_t>& rows, const std::vector<double>& y) {
+  scratch_.size_for(fm.cols(), fm.max_level_count());
+  BuildCtx ctx(scratch_);
+  ctx.fm = &fm;
+  ctx.rng = &rng;
+  ctx.idx.assign(rows.begin(), rows.end());
+  ctx.y.assign(y.begin(), y.end());
+  // Every build draws its feature subsets from the identity order.
+  for (std::size_t d = 0; d < fm.cols(); ++d) {
+    scratch_.feature_order[d] = static_cast<std::uint16_t>(d);
+  }
+  return ctx;
+}
 
 void DecisionTree::fit(const FeatureMatrix& fm,
                        const std::vector<std::uint32_t>& rows,
@@ -51,28 +86,17 @@ void DecisionTree::fit(const FeatureMatrix& fm,
     throw std::invalid_argument(
         "DecisionTree::fit: rows and y must be non-empty and equal-sized");
   }
-  nodes_.clear();
+  clear_nodes();
   node_depth_.clear();
   depth_ = 0;
-  nodes_.reserve(2 * rows.size());
+  reserve_nodes(2 * rows.size());
   if (inc_enabled_) {
     inc_base_ = rows.size();
     reserve_incremental(inc_base_);
   }
 
-  BuildCtx ctx(scratch_);
-  ctx.fm = &fm;
-  ctx.rng = &rng;
-  ctx.idx.assign(rows.begin(), rows.end());
-  ctx.y.assign(y.begin(), y.end());
-  ctx.cnt.assign(fm.cols() * fm.max_level_count(), 0);
-  ctx.sum.assign(fm.cols() * fm.max_level_count(), 0.0);
-  ctx.feature_order.resize(fm.cols());
-  for (std::size_t d = 0; d < fm.cols(); ++d) {
-    ctx.feature_order[d] = static_cast<std::uint16_t>(d);
-  }
-
-  build(ctx, 0, ctx.idx.size(), 0);
+  BuildCtx ctx = start_build(fm, rng, rows, y);
+  build(ctx, 0, ctx.idx.size(), 0, 0);
 
   if (inc_enabled_) {
     // Capture the membership for append_incremental: the training multiset
@@ -85,61 +109,38 @@ void DecisionTree::fit(const FeatureMatrix& fm,
       leaf_of_[i] = find_leaf(fm, rows[i]);
     }
   }
-  rebuild_flat();
 }
 
-void DecisionTree::rebuild_flat() {
-  const std::size_t n = nodes_.size();
-  // Track the AoS capacity, not just the current size: nodes_ carries
-  // geometric-growth slack across fits and assign_fitted, so a slightly
-  // bigger tree landing in a warmed model grows nodes_ for free — the
-  // flat mirror must not reallocate in that case either (steady state is
-  // asserted allocation-free).
-  const std::size_t cap = nodes_.capacity();
-  flat_feature_.reserve(cap);
-  flat_split_.reserve(cap);
-  flat_left_.reserve(cap);
-  flat_right_.reserve(cap);
-  flat_value_.reserve(cap);
-  flat_variance_.reserve(cap);
-  flat_fs_.reserve(cap);
-  flat_lr_.reserve(cap);
-  flat_feature_.resize(n);
-  flat_split_.resize(n);
-  flat_left_.resize(n);
-  flat_right_.resize(n);
-  flat_value_.resize(n);
-  flat_variance_.resize(n);
-  flat_fs_.resize(n);
-  flat_lr_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) refresh_flat_node(i);
+void DecisionTree::clear_nodes() {
+  node_fs_.clear();
+  node_lr_.clear();
+  node_value_.clear();
+  node_variance_.clear();
 }
 
-void DecisionTree::refresh_flat_node(std::size_t i) {
-  const Node& nd = nodes_[i];
-  if (nd.feature == kLeaf) {
-    // Leaf self-loop: every code is <= 0xFFFF, so the level-sync route
-    // keeps the row parked on this node for the remaining passes.
-    flat_feature_[i] = 0;
-    flat_split_[i] = 0xFFFF;
-    flat_left_[i] = static_cast<std::int32_t>(i);
-    flat_right_[i] = static_cast<std::int32_t>(i);
-  } else {
-    flat_feature_[i] = nd.feature;
-    flat_split_[i] = nd.split_code;
-    flat_left_[i] = nd.left;
-    flat_right_[i] = nd.right;
-  }
-  flat_value_[i] = nd.value;
-  flat_variance_[i] = nd.variance;
-  flat_fs_[i] =
-      (static_cast<std::uint32_t>(flat_feature_[i]) << 16) |
-      static_cast<std::uint32_t>(flat_split_[i]);
-  flat_lr_[i] =
-      static_cast<std::uint32_t>(flat_left_[i]) |
-      (static_cast<std::uint64_t>(
-           static_cast<std::uint32_t>(flat_right_[i]))
-       << 32);
+void DecisionTree::reserve_nodes(std::size_t cap) {
+  node_fs_.reserve(cap);
+  node_lr_.reserve(cap);
+  node_value_.reserve(cap);
+  node_variance_.reserve(cap);
+}
+
+std::int32_t DecisionTree::push_node(std::uint32_t fs, float value,
+                                     float variance) {
+  const std::size_t i = node_fs_.size();
+  node_fs_.push_back(fs);
+  node_lr_.push_back(static_cast<std::uint64_t>(i) |
+                     (static_cast<std::uint64_t>(i) << 32));
+  node_value_.push_back(value);
+  node_variance_.push_back(variance);
+  return static_cast<std::int32_t>(i);
+}
+
+void DecisionTree::set_children(std::size_t node, std::int32_t left,
+                                std::int32_t right) {
+  node_lr_[node] =
+      static_cast<std::uint32_t>(left) |
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(right)) << 32);
 }
 
 void DecisionTree::set_incremental(bool on, std::size_t reserve_extra) {
@@ -158,16 +159,8 @@ void DecisionTree::reserve_incremental(std::size_t base_samples) {
   // Base fit builds <= 2n-1 nodes; every append may rebuild one leaf's
   // subtree over <= n members (<= 2n-1 fresh nodes, one orphaned slot).
   const std::size_t node_bound = 2 * n * (inc_reserve_ + 1) + inc_reserve_ + 2;
-  nodes_.reserve(node_bound);
+  reserve_nodes(node_bound);
   node_depth_.reserve(node_bound);
-  // The flat mirror is refreshed after every append; reserving it by the
-  // same bound keeps the refresh allocation-free.
-  flat_feature_.reserve(node_bound);
-  flat_split_.reserve(node_bound);
-  flat_left_.reserve(node_bound);
-  flat_right_.reserve(node_bound);
-  flat_value_.reserve(node_bound);
-  flat_variance_.reserve(node_bound);
   inc_rows_.reserve(n);
   inc_y_.reserve(n);
   leaf_of_.reserve(n);
@@ -179,14 +172,14 @@ void DecisionTree::reserve_incremental(std::size_t base_samples) {
 
 std::int32_t DecisionTree::find_leaf(const FeatureMatrix& fm,
                                      std::uint32_t row) const noexcept {
-  std::int32_t node = 0;
-  while (nodes_[static_cast<std::size_t>(node)].feature != kLeaf) {
-    const Node& nd = nodes_[static_cast<std::size_t>(node)];
-    node = fm.code(row, static_cast<std::size_t>(nd.feature)) <= nd.split_code
-               ? nd.left
-               : nd.right;
+  std::size_t node = 0;
+  while (!is_leaf(node)) {
+    const std::uint32_t fs = node_fs_[node];
+    const std::uint64_t lr = node_lr_[node];
+    node = fm.code(row, fs >> 16) <= (fs & 0xFFFF) ? (lr & 0xFFFFFFFF)
+                                                   : (lr >> 32);
   }
-  return node;
+  return static_cast<std::int32_t>(node);
 }
 
 void DecisionTree::append_incremental(const FeatureMatrix& fm,
@@ -211,54 +204,37 @@ void DecisionTree::append_incremental(const FeatureMatrix& fm,
     }
   }
   const std::size_t m = gather_rows_.size();
-  const unsigned at_depth = node_depth_[static_cast<std::size_t>(leaf)];
+  const auto li = static_cast<std::size_t>(leaf);
+  const unsigned at_depth = node_depth_[li];
 
   if (m >= options_.min_samples_split && at_depth < options_.max_depth) {
     // Re-split: rebuild the leaf's subtree from scratch over its members,
     // with the identical split search and feature subsetting as fit().
-    // build() appends the fresh subtree at the end of `nodes_`; its root is
-    // grafted over the old leaf slot (child indices keep pointing into the
-    // appended region). A rebuild that finds no informative split produces
-    // a single leaf, which is copied over and popped again.
-    const std::size_t n_before = nodes_.size();
-    BuildCtx ctx(scratch_);
-    ctx.fm = &fm;
-    ctx.rng = &rng;
-    ctx.idx.assign(gather_rows_.begin(), gather_rows_.end());
-    ctx.y.assign(gather_y_.begin(), gather_y_.end());
-    ctx.cnt.assign(fm.cols() * fm.max_level_count(), 0);
-    ctx.sum.assign(fm.cols() * fm.max_level_count(), 0.0);
-    ctx.feature_order.resize(fm.cols());
-    for (std::size_t d = 0; d < fm.cols(); ++d) {
-      ctx.feature_order[d] = static_cast<std::uint16_t>(d);
-    }
-    const std::int32_t sub = build(ctx, 0, ctx.idx.size(), at_depth);
-    nodes_[static_cast<std::size_t>(leaf)] = nodes_[static_cast<std::size_t>(sub)];
-    if (nodes_[static_cast<std::size_t>(leaf)].feature == kLeaf) {
-      nodes_.pop_back();  // degenerate rebuild: drop the orphan leaf slot
+    // build() appends the fresh subtree at the end of the node arrays; its
+    // root is grafted over the old leaf slot (child indices keep pointing
+    // into the appended region). A rebuild that finds no informative split
+    // produces a single leaf, whose statistics are copied over before it
+    // is popped again.
+    BuildCtx ctx = start_build(fm, rng, gather_rows_, gather_y_);
+    const auto sub = static_cast<std::size_t>(
+        build(ctx, 0, ctx.idx.size(), at_depth, 0));
+    node_value_[li] = node_value_[sub];
+    node_variance_[li] = node_variance_[sub];
+    if (is_leaf(sub)) {
+      // Degenerate rebuild: the slot stays a leaf; drop the orphan.
+      node_fs_.pop_back();
+      node_lr_.pop_back();
+      node_value_.pop_back();
+      node_variance_.pop_back();
       node_depth_.pop_back();
     } else {
+      node_fs_[li] = node_fs_[sub];
+      node_lr_[li] = node_lr_[sub];
       // The subtree's members moved to fresh leaves below `leaf`.
       for (std::size_t i = 0; i < inc_rows_.size(); ++i) {
         if (leaf_of_[i] == leaf) leaf_of_[i] = find_leaf(fm, inc_rows_[i]);
       }
     }
-    // Patch the mirror instead of rebuilding it: only the grafted slot and
-    // the appended subtree changed; every other node's routing words are
-    // untouched. Re-splits recur throughout a multi-constraint lookahead
-    // (every model clone appends fantasy samples), so an O(nodes) rebuild
-    // here compounds into a measurable decision-time regression.
-    const std::size_t flat_n = nodes_.size();
-    flat_feature_.resize(flat_n);
-    flat_split_.resize(flat_n);
-    flat_left_.resize(flat_n);
-    flat_right_.resize(flat_n);
-    flat_value_.resize(flat_n);
-    flat_variance_.resize(flat_n);
-    flat_fs_.resize(flat_n);
-    flat_lr_.resize(flat_n);
-    refresh_flat_node(static_cast<std::size_t>(leaf));
-    for (std::size_t i = n_before; i < flat_n; ++i) refresh_flat_node(i);
     return;
   }
 
@@ -267,23 +243,15 @@ void DecisionTree::append_incremental(const FeatureMatrix& fm,
   double sum = 0.0;
   for (double v : gather_y_) sum += v;
   const double mean = sum / static_cast<double>(m);
-  Node& nd = nodes_[static_cast<std::size_t>(leaf)];
-  nd.value = static_cast<float>(mean);
+  node_value_[li] = static_cast<float>(mean);
   if (options_.leaf_variance) {
     double sq = 0.0;
     for (double v : gather_y_) {
       const double d = v - mean;
       sq += d * d;
     }
-    nd.variance = static_cast<float>(sq / static_cast<double>(m));
+    node_variance_[li] = static_cast<float>(sq / static_cast<double>(m));
   }
-  // Patch, don't rebuild: only this leaf's (value, variance) changed, and
-  // neither lives in the packed routing words — an O(1) mirror update.
-  // (A full rebuild_flat() here costs O(nodes) on *every* fantasy append
-  // and measurably regressed incremental multi-constraint decisions; the
-  // rare re-split path above still rebuilds, since it rewires topology.)
-  flat_value_[static_cast<std::size_t>(leaf)] = nd.value;
-  flat_variance_[static_cast<std::size_t>(leaf)] = nd.variance;
 }
 
 void DecisionTree::assign_fitted(const DecisionTree& src) {
@@ -295,7 +263,6 @@ void DecisionTree::assign_fitted(const DecisionTree& src) {
     inc_base_ = src.inc_base_ != 0 ? src.inc_base_ : src.inc_rows_.size();
     reserve_incremental(inc_base_);
   }
-  nodes_.assign(src.nodes_.begin(), src.nodes_.end());
   depth_ = src.depth_;
   inc_rows_.assign(src.inc_rows_.begin(), src.inc_rows_.end());
   inc_y_.assign(src.inc_y_.begin(), src.inc_y_.end());
@@ -304,106 +271,78 @@ void DecisionTree::assign_fitted(const DecisionTree& src) {
   // Propagate the split-scan scratch sizing: a tree that only ever
   // receives assign_fitted() (the engines' per-level branch models) never
   // runs fit(), so without this its first re-splitting append would size
-  // cnt/sum/feature_order on the spot and allocate. The source chain
-  // always starts at a fit() tree, whose scratch holds the
-  // cols x max_level_count layout to copy forward.
-  if (scratch_.cnt.size() < src.scratch_.cnt.size()) {
-    scratch_.cnt.resize(src.scratch_.cnt.size());
-  }
-  if (scratch_.sum.size() < src.scratch_.sum.size()) {
-    scratch_.sum.resize(src.scratch_.sum.size());
-  }
-  if (scratch_.feature_order.size() < src.scratch_.feature_order.size()) {
-    scratch_.feature_order.resize(src.scratch_.feature_order.size());
-  }
-  // The mirror is a pure function of nodes_, which was just copied verbatim
-  // — so copy the source's (always-current) mirror too instead of deriving
-  // it again. assign_fitted runs once per model clone inside every
-  // incremental lookahead branch, and the contiguous copies here are
-  // several times cheaper than rebuild_flat()'s per-node scalar loop.
-  // Reserve to the AoS capacity first so the mirror keeps matching nodes_'
-  // growth slack (the allocation-free steady-state guarantee).
-  const std::size_t cap = nodes_.capacity();
-  flat_feature_.reserve(cap);
-  flat_split_.reserve(cap);
-  flat_left_.reserve(cap);
-  flat_right_.reserve(cap);
-  flat_value_.reserve(cap);
-  flat_variance_.reserve(cap);
-  flat_fs_.reserve(cap);
-  flat_lr_.reserve(cap);
-  flat_feature_.assign(src.flat_feature_.begin(), src.flat_feature_.end());
-  flat_split_.assign(src.flat_split_.begin(), src.flat_split_.end());
-  flat_left_.assign(src.flat_left_.begin(), src.flat_left_.end());
-  flat_right_.assign(src.flat_right_.begin(), src.flat_right_.end());
-  flat_value_.assign(src.flat_value_.begin(), src.flat_value_.end());
-  flat_variance_.assign(src.flat_variance_.begin(), src.flat_variance_.end());
-  flat_fs_.assign(src.flat_fs_.begin(), src.flat_fs_.end());
-  flat_lr_.assign(src.flat_lr_.begin(), src.flat_lr_.end());
+  // the scan buffers on the spot and allocate. The source chain always
+  // starts at a fit() tree.
+  scratch_.size_for(src.scratch_.cols, src.scratch_.stride);
+  node_fs_.assign(src.node_fs_.begin(), src.node_fs_.end());
+  node_lr_.assign(src.node_lr_.begin(), src.node_lr_.end());
+  node_value_.assign(src.node_value_.begin(), src.node_value_.end());
+  node_variance_.assign(src.node_variance_.begin(),
+                        src.node_variance_.end());
 }
 
 std::int32_t DecisionTree::build(BuildCtx& ctx, std::size_t begin,
-                                 std::size_t end, unsigned depth) {
+                                 std::size_t end, unsigned depth,
+                                 std::uint64_t constant) {
   const FeatureMatrix& fm = *ctx.fm;
   const std::size_t n = end - begin;
   depth_ = std::max(depth_, depth);
+  const std::uint32_t* const idx = ctx.idx.data();
+  const double* const yv = ctx.y.data();
+  FitScratch& sc = ctx.scan;
 
-  // total_sum accumulates the targets in row order. For inner nodes the
-  // fused split scan below recomputes exactly this sum alongside the
-  // per-level statistics, so the standalone pass only runs for early
-  // leaves.
-  double total_sum = 0.0;
-
-  auto make_leaf = [&](double node_mean) {
-    Node leaf;
-    leaf.value = static_cast<float>(node_mean);
+  auto make_leaf = [&](double total_sum) {
+    const double node_mean = total_sum / static_cast<double>(n);
+    float variance = 0.0F;
     if (options_.leaf_variance) {
       double sq = 0.0;
       for (std::size_t i = begin; i < end; ++i) {
-        const double d = ctx.y[i] - node_mean;
+        const double d = yv[i] - node_mean;
         sq += d * d;
       }
-      leaf.variance = static_cast<float>(sq / static_cast<double>(n));
+      variance = static_cast<float>(sq / static_cast<double>(n));
     }
-    nodes_.push_back(leaf);
     if (inc_enabled_) node_depth_.push_back(depth);
-    return static_cast<std::int32_t>(nodes_.size() - 1);
+    return push_node(kLeafFs, static_cast<float>(node_mean), variance);
+  };
+  // Targets summed in row order: every path below produces exactly this.
+  auto row_order_sum = [&] {
+    double total = 0.0;
+    for (std::size_t i = begin; i < end; ++i) total += yv[i];
+    return total;
   };
 
   if (n < options_.min_samples_split || depth >= options_.max_depth) {
-    for (std::size_t i = begin; i < end; ++i) total_sum += ctx.y[i];
-    return make_leaf(total_sum / static_cast<double>(n));
+    return make_leaf(row_order_sum());
   }
 
   // Choose the feature subset for this split (Weka RandomTree style).
-  std::size_t feature_count = fm.cols();
-  if (options_.features_per_split != 0 &&
-      options_.features_per_split < fm.cols()) {
+  const std::size_t cols = fm.cols();
+  std::uint16_t* const order = sc.feature_order.data();
+  std::size_t feature_count = cols;
+  if (options_.features_per_split != 0 && options_.features_per_split < cols) {
     feature_count = options_.features_per_split;
     // Partial Fisher-Yates: the first `feature_count` entries become a
     // uniform random subset.
     for (std::size_t i = 0; i < feature_count; ++i) {
       const std::size_t j =
-          i + static_cast<std::size_t>(ctx.rng->below(fm.cols() - i));
-      std::swap(ctx.feature_order[i], ctx.feature_order[j]);
+          i + static_cast<std::size_t>(ctx.rng->below(cols - i));
+      std::swap(order[i], order[j]);
     }
   }
 
-  const std::uint32_t* const idx = ctx.idx.data();
-  const double* const yv = ctx.y.data();
-
-  // A node holding only copies of one configuration cannot split: every
-  // feature is constant on it, so both scans below would find nothing.
-  // Bootstrap resamples make such nodes common. The check runs after the
-  // feature draw, so the RNG stream is the one a full scan leaves, and the
-  // sum accumulates in row order, as the scan would.
-  bool one_config = true;
-  for (std::size_t i = begin + 1; i < end && one_config; ++i) {
-    one_config = idx[i] == idx[begin];
-  }
-  if (one_config) {
-    for (std::size_t i = begin; i < end; ++i) total_sum += yv[i];
-    return make_leaf(total_sum / static_cast<double>(n));
+  // Configuration census, after the feature draw so the RNG stream is the
+  // one a full scan leaves. A node holding copies of one configuration
+  // cannot split (bootstrap resamples make such nodes common); one holding
+  // two takes the closed form below.
+  const std::uint32_t a = idx[begin];
+  std::size_t first_b = begin + 1;
+  while (first_b < end && idx[first_b] == a) ++first_b;
+  if (first_b == end) return make_leaf(row_order_sum());
+  const std::uint32_t b = idx[first_b];
+  bool two_configs = true;
+  for (std::size_t i = first_b + 1; i < end && two_configs; ++i) {
+    two_configs = idx[i] == a || idx[i] == b;
   }
 
   // Variance-reduction split search. Maximizing
@@ -413,38 +352,69 @@ std::int32_t DecisionTree::build(BuildCtx& ctx, std::size_t begin,
   double best_score = -std::numeric_limits<double>::infinity();
   std::int16_t best_feature = kLeaf;
   std::uint16_t best_code = 0;
+  double total_sum = 0.0;
+  std::uint64_t child_constant = constant;
 
-  // Fused multi-feature statistics: one pass over the rows accumulates
-  // (count, sum) per level for every candidate feature at once — the row's
-  // code block is a single contiguous read, and the pass is taken once
-  // instead of once per feature. Each (feature, level) bucket still
-  // receives its targets in row order, so sums are bitwise identical to a
-  // per-feature scan, and the threshold sweep evaluates candidates in the
-  // same (feature, code) order.
-  //
-  // The sweep visits only the occupied levels between a feature's lowest
-  // and highest code on this node. That is exact: below the lowest code
-  // the left side is empty and from the highest code on the right side
-  // is, so no candidate is scored there; an empty level in between adds
-  // +0.0 (bucket sums start at +0.0, so they are never -0.0) and repeats
-  // the previous candidate's score, which the strict `>` never takes.
-  const std::size_t stride = fm.max_level_count();
+  // Two configurations: per-configuration row-order sums. Adding +0.0 for
+  // the other configuration's rows is exact: sums that start at +0.0 are
+  // never -0.0.
+  std::uint32_t n_a = 0;
+  double sum_a = 0.0;
+  double sum_b = 0.0;
+  auto scan_two = [&](std::size_t from, std::size_t to) {
+    const std::uint16_t* row_a = fm.row_codes(a);
+    const std::uint16_t* row_b = fm.row_codes(b);
+    for (std::size_t at = from; at < to; ++at) {
+      const std::uint16_t f = order[at];
+      const std::uint16_t ca = row_a[f];
+      const std::uint16_t cb = row_b[f];
+      if (ca == cb) continue;
+      // The one threshold is the lower code; its bucket is one config's.
+      const bool a_left = ca < cb;
+      const std::uint32_t n_left =
+          a_left ? n_a : static_cast<std::uint32_t>(n) - n_a;
+      double s_left = 0.0;
+      s_left += a_left ? sum_a : sum_b;
+      const auto n_right = static_cast<double>(n - n_left);
+      const double s_right = total_sum - s_left;
+      const double score = s_left * s_left / static_cast<double>(n_left) +
+                           s_right * s_right / n_right;
+      if (score > best_score) {
+        best_score = score;
+        best_feature = static_cast<std::int16_t>(f);
+        best_code = a_left ? ca : cb;
+      }
+    }
+  };
+
+  // General scan: one pass over the rows accumulates (count, sum) and the
+  // occupied-level bits per level for every candidate feature at once (the
+  // row's code block is a single contiguous read). Each bucket receives
+  // its targets in row order, so its sum is bitwise what a per-feature
+  // scan computes; thresholds are then scored in (feature, code) order.
+  const std::size_t stride = sc.stride;
+  const std::size_t words = (stride + 63) / 64;
   auto scan_chunk = [&](std::size_t from, std::size_t to,
                         bool accumulate_total) {
-    const std::size_t nf = to - from;
-    // Hoist the selected features and their bucket base pointers out of the
-    // row loop (the loop is the fit's hottest code).
+    // Hoist the features and their bucket bases out of the row loop (the
+    // loop is the fit's hottest code); inherited constants are skipped.
     std::uint16_t sel[kMaxFeatures];
     std::uint32_t* cntk[kMaxFeatures];
     double* sumk[kMaxFeatures];
-    std::uint16_t lo[kMaxFeatures];
-    std::uint16_t hi[kMaxFeatures];
-    for (std::size_t k = 0; k < nf; ++k) {
-      sel[k] = ctx.feature_order[from + k];
-      cntk[k] = ctx.cnt.data() + k * stride;
-      sumk[k] = ctx.sum.data() + k * stride;
-      lo[k] = std::numeric_limits<std::uint16_t>::max();
-      hi[k] = 0;
+    std::uint64_t* occk[kMaxFeatures];
+    std::size_t nf = 0;
+    for (std::size_t at = from; at < to; ++at) {
+      const std::uint16_t f = order[at];
+      if (f < 64 && ((constant >> f) & 1U) != 0) continue;
+      sel[nf] = f;
+      cntk[nf] = sc.cnt.data() + nf * stride;
+      sumk[nf] = sc.sum.data() + nf * stride;
+      occk[nf] = sc.occ.data() + nf * words;
+      ++nf;
+    }
+    if (nf == 0) {
+      if (accumulate_total) total_sum = row_order_sum();
+      return;
     }
     for (std::size_t i = begin; i < end; ++i) {
       const std::uint16_t* row = fm.row_codes(idx[i]);
@@ -454,33 +424,56 @@ std::int32_t DecisionTree::build(BuildCtx& ctx, std::size_t begin,
         const std::uint16_t c = row[sel[k]];
         ++cntk[k][c];
         sumk[k][c] += yi;
-        lo[k] = std::min(lo[k], c);
-        hi[k] = std::max(hi[k], c);
+        occk[k][c >> 6] |= std::uint64_t{1} << (c & 63);
       }
     }
+    std::uint16_t* const cand_code = sc.cand_code.data();
+    std::uint32_t* const cand_n = sc.cand_n.data();
+    double* const cand_sum = sc.cand_sum.data();
+    double* const cand_score = sc.cand_score.data();
     for (std::size_t k = 0; k < nf; ++k) {
+      // Prefix pass over the occupied levels in code order. It also
+      // restores the zero invariant for the buckets and words it visits.
+      std::size_t m = 0;
       std::uint32_t n_left = 0;
       double s_left = 0.0;
-      // Every threshold in [lo, hi) with rows of its own leaves both
-      // sides non-empty.
-      for (std::uint16_t c = lo[k]; c < hi[k]; ++c) {
-        if (cntk[k][c] == 0) continue;
-        n_left += cntk[k][c];
-        s_left += sumk[k][c];
-        const auto n_right = static_cast<double>(n - n_left);
-        const double s_right = total_sum - s_left;
-        const double score = s_left * s_left / static_cast<double>(n_left) +
-                             s_right * s_right / n_right;
-        if (score > best_score) {
-          best_score = score;
-          best_feature = static_cast<std::int16_t>(sel[k]);
-          best_code = c;
+      for (std::size_t w = 0; w < words; ++w) {
+        std::uint64_t bits = occk[k][w];
+        occk[k][w] = 0;
+        while (bits != 0) {
+          const std::size_t c =
+              w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
+          bits &= bits - 1;
+          n_left += cntk[k][c];
+          s_left += sumk[k][c];
+          cntk[k][c] = 0;
+          sumk[k][c] = 0.0;
+          cand_code[m] = static_cast<std::uint16_t>(c);
+          cand_n[m] = n_left;
+          cand_sum[m] = s_left;
+          ++m;
         }
       }
-      // Restore the zero-buckets invariant for the next scan.
-      for (std::uint16_t c = lo[k]; c <= hi[k]; ++c) {
-        cntk[k][c] = 0;
-        sumk[k][c] = 0.0;
+      // The highest occupied level leaves the right side empty, so it is
+      // no threshold; a feature on one level is constant below this node.
+      const std::size_t cands = m - 1;
+      if (sel[k] < 64) {
+        child_constant |= static_cast<std::uint64_t>(cands == 0) << sel[k];
+      }
+      for (std::size_t j = 0; j < cands; ++j) {
+        const auto n_right = static_cast<double>(n - cand_n[j]);
+        const double s_right = total_sum - cand_sum[j];
+        cand_score[j] =
+            cand_sum[j] * cand_sum[j] / static_cast<double>(cand_n[j]) +
+            s_right * s_right / n_right;
+      }
+      // First strict maximum, selected without branches.
+      const auto feature_k = static_cast<std::int16_t>(sel[k]);
+      for (std::size_t j = 0; j < cands; ++j) {
+        const bool better = cand_score[j] > best_score;
+        best_score = better ? cand_score[j] : best_score;
+        best_feature = better ? feature_k : best_feature;
+        best_code = better ? cand_code[j] : best_code;
       }
     }
   };
@@ -488,112 +481,136 @@ std::int32_t DecisionTree::build(BuildCtx& ctx, std::size_t begin,
   // chunking only bounds the stack arrays for very wide spaces.
   auto scan_features = [&](std::size_t from, std::size_t to,
                            bool accumulate_total) {
+    if (two_configs) {
+      scan_two(from, to);
+      return;
+    }
     for (std::size_t at = from; at < to; at += kMaxFeatures) {
       scan_chunk(at, std::min(to, at + kMaxFeatures),
                  accumulate_total && at == from);
     }
   };
 
+  if (two_configs) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const double yi = yv[i];
+      const bool is_a = idx[i] == a;
+      total_sum += yi;
+      n_a += is_a ? 1U : 0U;
+      sum_a += is_a ? yi : 0.0;
+      sum_b += is_a ? 0.0 : yi;
+    }
+  }
   scan_features(0, feature_count, /*accumulate_total=*/true);
   const double parent_score = total_sum * total_sum / static_cast<double>(n);
   // If the random subset offered no informative split (all its features
   // constant on this node, or no gain), fall back to the remaining
   // features before giving up — otherwise a 1-feature subset would
   // regularly truncate the tree at nodes other features could still split.
-  if (best_score <= parent_score + 1e-12 && feature_count < fm.cols()) {
-    scan_features(feature_count, fm.cols(), /*accumulate_total=*/false);
+  if (best_score <= parent_score + 1e-12 && feature_count < cols) {
+    scan_features(feature_count, cols, /*accumulate_total=*/false);
   }
 
   if (best_feature == kLeaf || best_score <= parent_score + 1e-12) {
-    return make_leaf(total_sum / static_cast<double>(n));
+    return make_leaf(total_sum);
   }
 
-  // In-place partition of the parallel arrays.
+  // In-place partition of the parallel arrays: a branch-free Lomuto pass.
+  // Both slots are always written, through an all-ones/all-zeros mask
+  // (a plain conditional here is compiled back into a branch that
+  // mispredicts on every other row); the swap takes effect iff the row
+  // goes left, so the permutation is the classic swap loop's.
+  // Targets move as bit patterns (memcpy: no aliasing games, no FP ops).
+  std::uint32_t* const pidx = ctx.idx.data();
+  double* const py = ctx.y.data();
+  const std::uint16_t* const codes = fm.codes() + best_feature;
   std::size_t mid = begin;
   for (std::size_t i = begin; i < end; ++i) {
-    if (fm.code(ctx.idx[i], static_cast<std::size_t>(best_feature)) <=
-        best_code) {
-      std::swap(ctx.idx[i], ctx.idx[mid]);
-      std::swap(ctx.y[i], ctx.y[mid]);
-      ++mid;
-    }
+    const std::uint32_t ri = pidx[i];
+    const std::uint32_t rm = pidx[mid];
+    std::uint64_t yi;
+    std::uint64_t ym;
+    std::memcpy(&yi, py + i, sizeof yi);
+    std::memcpy(&ym, py + mid, sizeof ym);
+    const bool go_left =
+        codes[static_cast<std::size_t>(ri) * cols] <= best_code;
+    const std::uint64_t take = 0 - static_cast<std::uint64_t>(go_left);
+    const std::uint32_t dr = (ri ^ rm) & static_cast<std::uint32_t>(take);
+    const std::uint64_t dy = (yi ^ ym) & take;
+    pidx[i] = ri ^ dr;
+    pidx[mid] = rm ^ dr;
+    yi ^= dy;
+    ym ^= dy;
+    std::memcpy(py + i, &yi, sizeof yi);
+    std::memcpy(py + mid, &ym, sizeof ym);
+    mid += static_cast<std::size_t>(go_left);
   }
 
-  const auto self = static_cast<std::int32_t>(nodes_.size());
-  nodes_.emplace_back();
   if (inc_enabled_) node_depth_.push_back(depth);
-  nodes_[self].feature = best_feature;
-  nodes_[self].split_code = best_code;
-  const std::int32_t left = build(ctx, begin, mid, depth + 1);
-  const std::int32_t right = build(ctx, mid, end, depth + 1);
-  nodes_[self].left = left;
-  nodes_[self].right = right;
+  const std::int32_t self = push_node(
+      (static_cast<std::uint32_t>(best_feature) << 16) | best_code, 0.0F,
+      0.0F);
+  const std::int32_t left = build(ctx, begin, mid, depth + 1, child_constant);
+  const std::int32_t right = build(ctx, mid, end, depth + 1, child_constant);
+  set_children(static_cast<std::size_t>(self), left, right);
   return self;
 }
 
 double DecisionTree::predict(const FeatureMatrix& fm,
                              std::uint32_t row) const {
-  if (nodes_.empty()) {
-    throw std::logic_error("DecisionTree::predict: not fitted");
-  }
-  std::int32_t node = 0;
-  while (nodes_[static_cast<std::size_t>(node)].feature != kLeaf) {
-    const Node& nd = nodes_[static_cast<std::size_t>(node)];
-    node = fm.code(row, static_cast<std::size_t>(nd.feature)) <= nd.split_code
-               ? nd.left
-               : nd.right;
-  }
-  return nodes_[static_cast<std::size_t>(node)].value;
+  if (!fitted()) throw std::logic_error("DecisionTree::predict: not fitted");
+  return node_value_[static_cast<std::size_t>(find_leaf(fm, row))];
 }
 
 DecisionTree::LeafStats DecisionTree::predict_stats(const FeatureMatrix& fm,
                                                     std::uint32_t row) const {
-  if (nodes_.empty()) {
+  if (!fitted()) {
     throw std::logic_error("DecisionTree::predict_stats: not fitted");
   }
-  std::int32_t node = 0;
-  while (nodes_[static_cast<std::size_t>(node)].feature != kLeaf) {
-    const Node& nd = nodes_[static_cast<std::size_t>(node)];
-    node = fm.code(row, static_cast<std::size_t>(nd.feature)) <= nd.split_code
-               ? nd.left
-               : nd.right;
-  }
-  const Node& leaf = nodes_[static_cast<std::size_t>(node)];
-  return {leaf.value, leaf.variance};
+  const auto leaf = static_cast<std::size_t>(find_leaf(fm, row));
+  return {node_value_[leaf], node_variance_[leaf]};
 }
 
-template <class LeafFn>
-bool DecisionTree::dense_walk(const FeatureMatrix& fm,
-                              const std::uint32_t* rows, std::size_t n,
-                              PredictScratch& s, const LeafFn& leaf) const {
-  const std::size_t words = fm.mask_words();
-  if (fm.level_mask(0, 0) == nullptr) return false;
-  // A sparse batch routes faster through the level-sync sweep than
-  // through full-width mask intersections. (A finer work-estimate cut
-  // was tried and reverted: per-node mask costs vary too much across
-  // spaces for a single crossover constant — it mis-routed mid-size
-  // tensorflow candidate batches and regressed LA decisions up to 1.7×.)
-  if (rows != nullptr && n * 4 < fm.rows()) return false;
+/// Row -> batch position map of a dense batch of explicit rows, for the
+/// position-indexed entry points (the ensemble accumulates by row id).
+static const std::uint32_t* map_positions(const FeatureMatrix& fm,
+                                          const std::uint32_t* rows,
+                                          std::size_t n, PredictScratch& s) {
+  s.pos_of_row.resize(fm.rows());
+  for (std::size_t i = 0; i < n; ++i) {
+    s.pos_of_row[rows[i]] = static_cast<std::uint32_t>(i);
+  }
+  return s.pos_of_row.data();
+}
 
-  const bool identity = rows == nullptr;
-  s.root_mask.assign(words, 0);
-  if (identity) {
-    for (std::size_t r = 0; r < n; r += 64) {
-      const std::size_t bits = std::min<std::size_t>(64, n - r);
-      s.root_mask[r / 64] =
-          bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
-    }
-  } else {
-    s.pos_of_row.resize(fm.rows());
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t row = rows[i];
-      const std::uint64_t bit = std::uint64_t{1} << (row % 64);
-      if ((s.root_mask[row / 64] & bit) != 0) return false;  // duplicate id
-      s.root_mask[row / 64] |= bit;
-      s.pos_of_row[row] = static_cast<std::uint32_t>(i);
+/// Calls `fn(index)` for every row set in the `words`-word mask `m`, where
+/// index is the row id (kByRow) or its batch position `pos_of_row[row]`.
+template <bool kByRow, class Fn>
+static void for_each_row(const std::uint64_t* m, std::size_t words,
+                         const std::uint32_t* pos_of_row, const Fn& fn) {
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t bits = m[w];
+    while (bits != 0) {
+      const auto row = static_cast<std::uint32_t>(
+          w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits)));
+      fn(kByRow ? row : pos_of_row[row]);
+      bits &= bits - 1;
     }
   }
+}
 
+void DecisionTree::plan_batch(const FeatureMatrix& fm,
+                              const std::uint32_t* rows, std::size_t n,
+                              PredictScratch& s) const {
+  // Capacity-warm every batch-route buffer — both the level-sync and the
+  // dense-walk set — to the space bound, not just this batch. Scratch is
+  // caller-owned (per ensemble, not per thread), and which route a given
+  // model takes first can differ between the engines' warm-up pass and
+  // steady state; reserving both sets up front makes the first batch with
+  // a scratch slot size it for every in-space batch and route.
+  const std::size_t cap = std::max(n, fm.rows());
+  s.cur.reserve(cap);
+  s.row_base.reserve(cap);
   // Two mask slots per depth: the left child's subtree is fully processed
   // (touching only deeper slots) before the right child's stored mask is
   // popped, so siblings never clobber each other. Sized by the depth *cap*
@@ -601,12 +618,52 @@ bool DecisionTree::dense_walk(const FeatureMatrix& fm,
   // tree after the engines' warm-up pass, and this arena must not
   // reallocate then (the zero-allocation guarantee covers the incremental
   // path too).
-  s.arena.resize((static_cast<std::size_t>(options_.max_depth) + 2) * 2 *
-                 words);
-  s.stack.reserve(2 * (static_cast<std::size_t>(options_.max_depth) + 2));
+  const std::size_t depth_cap =
+      2 * (static_cast<std::size_t>(options_.max_depth) + 2);
+  s.stack.resize(depth_cap);
+  s.dense = false;
+  if (fm.level_mask(0, 0) == nullptr) return;
+  const std::size_t words = fm.mask_words();
+  s.root_mask.reserve(words);
+  s.pos_of_row.reserve(fm.rows());
+  s.arena.reserve(depth_cap * words);
+  // A sparse batch routes faster through the level-sync sweep than
+  // through full-width mask intersections. (A finer work-estimate cut
+  // was tried and reverted: per-node mask costs vary too much across
+  // spaces for a single crossover constant — it mis-routed mid-size
+  // tensorflow candidate batches and regressed LA decisions up to 1.7×.)
+  if (rows != nullptr && n * 4 < fm.rows()) return;
+
+  s.root_mask.assign(words, 0);
+  if (rows == nullptr) {
+    for (std::size_t r = 0; r < n; r += 64) {
+      const std::size_t bits = std::min<std::size_t>(64, n - r);
+      s.root_mask[r / 64] =
+          bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+    }
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t row = rows[i];
+      const std::uint64_t bit = std::uint64_t{1} << (row % 64);
+      if ((s.root_mask[row / 64] & bit) != 0) return;  // duplicate id
+      s.root_mask[row / 64] |= bit;
+    }
+  }
+  s.arena.resize(depth_cap * words);
+  s.dense = true;
+}
+
+template <class LeafFn>
+void DecisionTree::dense_walk(const FeatureMatrix& fm, PredictScratch& s,
+                              const LeafFn& leaf) const {
+  const std::size_t words = fm.mask_words();
+  // Raw views: the walk's stores must not make the compiler reload them.
+  const std::uint32_t* const fs = node_fs_.data();
+  const std::uint64_t* const lr = node_lr_.data();
+  std::uint64_t* const arena = s.arena.data();
+  std::int64_t* const stack = s.stack.data();
   const auto slot = [&](std::uint32_t depth, std::uint32_t side) {
-    return s.arena.data() +
-           (static_cast<std::size_t>(depth) * 2 + side) * words;
+    return arena + (static_cast<std::size_t>(depth) * 2 + side) * words;
   };
   const auto encode = [](std::int32_t node, std::uint32_t depth,
                          std::uint32_t side) {
@@ -614,31 +671,22 @@ bool DecisionTree::dense_walk(const FeatureMatrix& fm,
            (static_cast<std::int64_t>(depth) << 1) | side;
   };
   std::copy(s.root_mask.begin(), s.root_mask.end(), slot(0, 0));
-  s.stack.clear();
-  s.stack.push_back(encode(0, 0, 0));
-  while (!s.stack.empty()) {
-    const std::int64_t e = s.stack.back();
-    s.stack.pop_back();
+  std::size_t top = 0;
+  stack[top++] = encode(0, 0, 0);
+  while (top != 0) {
+    const std::int64_t e = stack[--top];
     const auto node = static_cast<std::int32_t>(e >> 32);
     const auto depth = static_cast<std::uint32_t>((e & 0xFFFFFFFF) >> 1);
     const auto side = static_cast<std::uint32_t>(e & 1);
     const std::uint64_t* m = slot(depth, side);
     const auto ni = static_cast<std::size_t>(node);
-    if (flat_left_[ni] == node) {  // leaf (self-loop)
-      for (std::size_t w = 0; w < words; ++w) {
-        std::uint64_t bits = m[w];
-        while (bits != 0) {
-          const auto row = static_cast<std::uint32_t>(
-              w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits)));
-          leaf(identity ? row : s.pos_of_row[row], ni);
-          bits &= bits - 1;
-        }
-      }
+    const auto left_child = static_cast<std::int32_t>(lr[ni] & 0xFFFFFFFF);
+    if (left_child == node) {  // leaf (self-loop)
+      leaf(ni, m);
       continue;
     }
-    const std::uint64_t* fmask =
-        fm.level_mask(static_cast<std::size_t>(flat_feature_[ni]),
-                      static_cast<std::uint16_t>(flat_split_[ni]));
+    const std::uint64_t* fmask = fm.level_mask(
+        fs[ni] >> 16, static_cast<std::uint16_t>(fs[ni] & 0xFFFF));
     std::uint64_t* lm = slot(depth + 1, 0);
     std::uint64_t* rm = slot(depth + 1, 1);
     std::uint64_t left_any = 0;
@@ -651,14 +699,13 @@ bool DecisionTree::dense_walk(const FeatureMatrix& fm,
       left_any |= left;
       right_any |= right;
     }
+    // At most two entries per depth are live, within the stack's size.
     if (right_any != 0) {
-      s.stack.push_back(encode(flat_right_[ni], depth + 1, 1));
+      stack[top++] =
+          encode(static_cast<std::int32_t>(lr[ni] >> 32), depth + 1, 1);
     }
-    if (left_any != 0) {
-      s.stack.push_back(encode(flat_left_[ni], depth + 1, 0));
-    }
+    if (left_any != 0) stack[top++] = encode(left_child, depth + 1, 0);
   }
-  return true;
 }
 
 #ifdef LYNCEUS_SIMD_AVX2
@@ -676,16 +723,21 @@ static bool lynceus_avx2_supported() noexcept {
 /// check lynceus_avx2_supported() first.
 __attribute__((target("avx2"))) static void route_levels_avx2(
     const std::uint16_t* codes, const std::uint32_t* row_base, std::size_t n,
-    unsigned depth, const std::int32_t* feat, const std::int32_t* split,
-    const std::int32_t* left, const std::int32_t* right, std::int32_t* cur) {
+    unsigned depth, const std::uint32_t* fs, const std::uint64_t* lr,
+    std::int32_t* cur) {
   const __m256i mask16 = _mm256_set1_epi32(0xFFFF);
+  const __m256i one = _mm256_set1_epi32(1);
+  // The children word of node i is int32 lanes 2i (left) and 2i+1 (right).
+  const int* lr32 = reinterpret_cast<const int*>(lr);
   for (unsigned d = 0; d < depth; ++d) {
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8) {
       const __m256i vcur =
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cur + i));
-      const __m256i vfeat = _mm256_i32gather_epi32(feat, vcur, 4);
-      const __m256i vsplit = _mm256_i32gather_epi32(split, vcur, 4);
+      const __m256i vfs =
+          _mm256_i32gather_epi32(reinterpret_cast<const int*>(fs), vcur, 4);
+      const __m256i vfeat = _mm256_srli_epi32(vfs, 16);
+      const __m256i vsplit = _mm256_and_si256(vfs, mask16);
       const __m256i vbase =
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row_base + i));
       // 32-bit gather at a 16-bit stride reads one code plus two padding
@@ -695,8 +747,10 @@ __attribute__((target("avx2"))) static void route_levels_avx2(
           _mm256_i32gather_epi32(reinterpret_cast<const int*>(codes),
                                  _mm256_add_epi32(vbase, vfeat), 2),
           mask16);
-      const __m256i vleft = _mm256_i32gather_epi32(left, vcur, 4);
-      const __m256i vright = _mm256_i32gather_epi32(right, vcur, 4);
+      const __m256i vlr = _mm256_slli_epi32(vcur, 1);
+      const __m256i vleft = _mm256_i32gather_epi32(lr32, vlr, 4);
+      const __m256i vright =
+          _mm256_i32gather_epi32(lr32, _mm256_add_epi32(vlr, one), 4);
       // Go right iff code > split; both fit in 16 bits, so the signed
       // 32-bit compare is exact. A leaf's 0xFFFF threshold never
       // compares less than a code, keeping self-loops parked.
@@ -706,36 +760,16 @@ __attribute__((target("avx2"))) static void route_levels_avx2(
     }
     for (; i < n; ++i) {
       const std::int32_t nd = cur[i];
-      const std::int32_t c =
-          codes[row_base[i] + static_cast<std::uint32_t>(feat[nd])];
-      cur[i] = c <= split[nd] ? left[nd] : right[nd];
+      const std::uint32_t f = fs[nd];
+      const std::int32_t c = codes[row_base[i] + (f >> 16)];
+      cur[i] = static_cast<std::int32_t>(
+          c <= static_cast<std::int32_t>(f & 0xFFFF) ? (lr[nd] & 0xFFFFFFFF)
+                                                     : (lr[nd] >> 32));
     }
   }
 }
 
 #endif  // LYNCEUS_SIMD_AVX2
-
-void DecisionTree::warm_scratch(const FeatureMatrix& fm, std::size_t n,
-                                PredictScratch& s) const {
-  // Capacity-warm every batch-route buffer — both the level-sync and the
-  // dense-walk set — to the space bound, not just this batch. Scratch is
-  // caller-owned (per ensemble, not per thread), and which route a given
-  // model takes first can differ between the engines' warm-up pass and
-  // steady state; reserving both sets up front makes the first batch with
-  // a scratch slot size it for every in-space batch and route.
-  const std::size_t cap = std::max(n, fm.rows());
-  s.cur.reserve(cap);
-  s.row_base.reserve(cap);
-  const std::size_t depth_cap =
-      2 * (static_cast<std::size_t>(options_.max_depth) + 2);
-  s.stack.reserve(depth_cap);
-  if (fm.level_mask(0, 0) != nullptr) {
-    const std::size_t words = fm.mask_words();
-    s.root_mask.reserve(words);
-    s.pos_of_row.reserve(fm.rows());
-    s.arena.reserve(depth_cap * words);
-  }
-}
 
 void DecisionTree::route_level_sync(const FeatureMatrix& fm,
                                     const std::uint32_t* rows, std::size_t n,
@@ -746,6 +780,8 @@ void DecisionTree::route_level_sync(const FeatureMatrix& fm,
   if (depth_ == 0) return;  // root-only tree: every row is already home
   const std::uint16_t* codes = fm.codes();
   const std::size_t cols = fm.cols();
+  const std::uint32_t* fs = node_fs_.data();
+  const std::uint64_t* lr = node_lr_.data();
 #ifdef LYNCEUS_SIMD_AVX2
   if (n >= 8 && lynceus_avx2_supported()) {
     s.row_base.resize(n);
@@ -754,19 +790,15 @@ void DecisionTree::route_level_sync(const FeatureMatrix& fm,
       rb[i] = static_cast<std::uint32_t>(
           (rows != nullptr ? rows[i] : i) * cols);
     }
-    route_levels_avx2(codes, rb, n, depth_, flat_feature_.data(),
-                      flat_split_.data(), flat_left_.data(),
-                      flat_right_.data(), cur);
+    route_levels_avx2(codes, rb, n, depth_, fs, lr, cur);
     return;
   }
 #endif
   // Branch-free compare/route sweep: no leaf test, no data-dependent
-  // branches. The scalar loops read the packed per-node arrays (one
-  // 32-bit feature+split load, one 64-bit children load) because the
-  // sweep is load-port bound; level 0 is peeled since every row starts
-  // at the root, whose fields are loop constants.
-  const std::uint32_t* fs = flat_fs_.data();
-  const std::uint64_t* lr = flat_lr_.data();
+  // branches. The loops read the packed per-node words (one 32-bit
+  // feature+split load, one 64-bit children load) because the sweep is
+  // load-port bound; level 0 is peeled since every row starts at the
+  // root, whose fields are loop constants.
   const std::int32_t f0 = static_cast<std::int32_t>(fs[0] >> 16);
   const std::int32_t s0 = static_cast<std::int32_t>(fs[0] & 0xFFFF);
   const std::int32_t l0 = static_cast<std::int32_t>(lr[0] & 0xFFFFFFFF);
@@ -817,30 +849,35 @@ void DecisionTree::predict_batch(const FeatureMatrix& fm,
                                  const std::uint32_t* rows, std::size_t n,
                                  float* out_value, float* out_variance,
                                  PredictScratch* scratch) const {
-  if (nodes_.empty()) {
+  if (!fitted()) {
     throw std::logic_error("DecisionTree::predict_batch: not fitted");
   }
   if (n == 0) return;
   PredictScratch local;
   PredictScratch& s = scratch != nullptr ? *scratch : local;
-  warm_scratch(fm, n, s);
-  const bool dense =
-      out_variance != nullptr
-          ? dense_walk(fm, rows, n, s,
-                       [&](std::uint32_t pos, std::size_t nd) {
-                         out_value[pos] = flat_value_[nd];
-                         out_variance[pos] = flat_variance_[nd];
-                       })
-          : dense_walk(fm, rows, n, s,
-                       [&](std::uint32_t pos, std::size_t nd) {
-                         out_value[pos] = flat_value_[nd];
-                       });
-  if (dense) return;
+  plan_batch(fm, rows, n, s);
+  if (s.dense) {
+    const std::uint32_t* pos =
+        rows != nullptr ? map_positions(fm, rows, n, s) : nullptr;
+    const std::size_t words = fm.mask_words();
+    dense_walk(fm, s, [&](std::size_t nd, const std::uint64_t* m) {
+      const auto put = [&](std::uint32_t p) {
+        out_value[p] = node_value_[nd];
+        if (out_variance != nullptr) out_variance[p] = node_variance_[nd];
+      };
+      if (rows == nullptr) {
+        for_each_row<true>(m, words, pos, put);
+      } else {
+        for_each_row<false>(m, words, pos, put);
+      }
+    });
+    return;
+  }
   route_level_sync(fm, rows, n, s);
   const std::int32_t* cur = s.cur.data();
-  const float* value = flat_value_.data();
+  const float* value = node_value_.data();
   if (out_variance != nullptr) {
-    const float* variance = flat_variance_.data();
+    const float* variance = node_variance_.data();
     for (std::size_t i = 0; i < n; ++i) {
       out_value[i] = value[cur[i]];
       out_variance[i] = variance[cur[i]];
@@ -855,36 +892,66 @@ void DecisionTree::accumulate_batch(const FeatureMatrix& fm,
                                     double* sum, double* sumsq,
                                     double* var_sum,
                                     PredictScratch* scratch) const {
-  if (nodes_.empty()) {
+  if (!fitted()) {
+    throw std::logic_error("DecisionTree::accumulate_batch: not fitted");
+  }
+  PredictScratch local;
+  PredictScratch& s = scratch != nullptr ? *scratch : local;
+  plan_batch(fm, rows, n, s);
+  if (s.dense && rows != nullptr) {
+    // Position-indexed, unlike accumulate_planned's row-indexed dense walk.
+    accumulate_dense<false>(fm, sum, sumsq, var_sum,
+                            map_positions(fm, rows, n, s), s);
+    return;
+  }
+  accumulate_planned(fm, rows, n, sum, sumsq, var_sum, s);
+}
+
+template <bool kByRow>
+void DecisionTree::accumulate_dense(const FeatureMatrix& fm, double* sum,
+                                    double* sumsq, double* var_sum,
+                                    const std::uint32_t* pos,
+                                    PredictScratch& s) const {
+  const std::size_t words = fm.mask_words();
+  dense_walk(fm, s, [&](std::size_t nd, const std::uint64_t* m) {
+    const double v = node_value_[nd];
+    const double v2 = v * v;
+    if (var_sum != nullptr) {
+      const double var = node_variance_[nd];
+      for_each_row<kByRow>(m, words, pos, [&](std::uint32_t p) {
+        sum[p] += v;
+        sumsq[p] += v2;
+        var_sum[p] += var;
+      });
+    } else {
+      for_each_row<kByRow>(m, words, pos, [&](std::uint32_t p) {
+        sum[p] += v;
+        sumsq[p] += v2;
+      });
+    }
+  });
+}
+
+void DecisionTree::accumulate_planned(const FeatureMatrix& fm,
+                                      const std::uint32_t* rows,
+                                      std::size_t n, double* sum,
+                                      double* sumsq, double* var_sum,
+                                      PredictScratch& s) const {
+  if (!fitted()) {
     throw std::logic_error("DecisionTree::accumulate_batch: not fitted");
   }
   if (n == 0) return;
-  PredictScratch local;
-  PredictScratch& s = scratch != nullptr ? *scratch : local;
-  warm_scratch(fm, n, s);
-  const bool dense =
-      var_sum != nullptr
-          ? dense_walk(fm, rows, n, s,
-                       [&](std::uint32_t pos, std::size_t nd) {
-                         const double v = flat_value_[nd];
-                         sum[pos] += v;
-                         sumsq[pos] += v * v;
-                         var_sum[pos] += flat_variance_[nd];
-                       })
-          : dense_walk(fm, rows, n, s,
-                       [&](std::uint32_t pos, std::size_t nd) {
-                         const double v = flat_value_[nd];
-                         sum[pos] += v;
-                         sumsq[pos] += v * v;
-                       });
-  if (dense) return;
+  // Per row: sum += v, sumsq += v*v, var_sum += leaf variance — the
+  // scalar loop's operations in its order, from the same float source.
+  if (s.dense) {
+    accumulate_dense<true>(fm, sum, sumsq, var_sum, nullptr, s);
+    return;
+  }
   route_level_sync(fm, rows, n, s);
-  // Accumulate straight from the flat leaf arrays — same float source,
-  // same per-row order as the scalar loop, no intermediate buffers.
   const std::int32_t* cur = s.cur.data();
-  const float* value = flat_value_.data();
+  const float* value = node_value_.data();
   if (var_sum != nullptr) {
-    const float* variance = flat_variance_.data();
+    const float* variance = node_variance_.data();
     for (std::size_t i = 0; i < n; ++i) {
       const double v = value[cur[i]];
       sum[i] += v;
@@ -906,29 +973,39 @@ void DecisionTree::save_state(util::JsonWriter& w) const {
   }
   w.begin_object();
   w.key("depth").value(static_cast<std::uint64_t>(depth_));
+  // Leaves are written as left = right = feature = -1, split 0.
+  const std::size_t n = node_count();
   w.key("left").begin_array();
-  for (const Node& n : nodes_) w.value(static_cast<std::int64_t>(n.left));
+  for (std::size_t i = 0; i < n; ++i) {
+    w.value(is_leaf(i) ? std::int64_t{-1}
+                       : static_cast<std::int64_t>(node_lr_[i] & 0xFFFFFFFF));
+  }
   w.end_array();
   w.key("right").begin_array();
-  for (const Node& n : nodes_) w.value(static_cast<std::int64_t>(n.right));
+  for (std::size_t i = 0; i < n; ++i) {
+    w.value(is_leaf(i) ? std::int64_t{-1}
+                       : static_cast<std::int64_t>(node_lr_[i] >> 32));
+  }
   w.end_array();
   w.key("feature").begin_array();
-  for (const Node& n : nodes_) w.value(static_cast<std::int64_t>(n.feature));
+  for (std::size_t i = 0; i < n; ++i) {
+    w.value(is_leaf(i) ? std::int64_t{kLeaf}
+                       : static_cast<std::int64_t>(static_cast<std::int16_t>(
+                             node_fs_[i] >> 16)));
+  }
   w.end_array();
   w.key("split").begin_array();
-  for (const Node& n : nodes_) {
-    w.value(static_cast<std::uint64_t>(n.split_code));
+  for (std::size_t i = 0; i < n; ++i) {
+    w.value(static_cast<std::uint64_t>(is_leaf(i) ? 0 : node_fs_[i] & 0xFFFF));
   }
   w.end_array();
   // float → double is exact; value_exact round-trips the double, and the
   // load-side narrowing back to float recovers the original bit pattern.
   w.key("value").begin_array();
-  for (const Node& n : nodes_) w.value_exact(static_cast<double>(n.value));
+  for (const float v : node_value_) w.value_exact(static_cast<double>(v));
   w.end_array();
   w.key("variance").begin_array();
-  for (const Node& n : nodes_) {
-    w.value_exact(static_cast<double>(n.variance));
-  }
+  for (const float v : node_variance_) w.value_exact(static_cast<double>(v));
   w.end_array();
   w.key("inc").begin_object();
   w.key("enabled").value(inc_enabled_);
@@ -965,26 +1042,66 @@ void DecisionTree::load_state(const util::JsonValue& v) {
     throw std::runtime_error(
         "DecisionTree::load_state: inconsistent node arrays");
   }
-  nodes_.clear();
-  nodes_.reserve(n);
+  // The state may come from a remote client, so it is checked before
+  // anything routes through it. Fits and incremental grafts number every
+  // child after its parent; requiring that rules out cycles (which would
+  // hang the scalar descent) as well as out-of-range children.
+  clear_nodes();
+  reserve_nodes(n);
+  const auto count = static_cast<std::int64_t>(n);
   for (std::size_t i = 0; i < n; ++i) {
-    Node node;
-    node.left = static_cast<std::int32_t>(left.at(i).as_int());
-    node.right = static_cast<std::int32_t>(right.at(i).as_int());
-    node.feature = static_cast<std::int16_t>(feature.at(i).as_int());
-    node.split_code = static_cast<std::uint16_t>(split.at(i).as_uint());
-    node.value = static_cast<float>(value.at(i).as_double());
-    node.variance = static_cast<float>(variance.at(i).as_double());
-    if (node.feature != kLeaf &&
-        (node.left < 0 || node.right < 0 ||
-         node.left >= static_cast<std::int32_t>(n) ||
-         node.right >= static_cast<std::int32_t>(n))) {
+    const std::int64_t l = left.at(i).as_int();
+    const std::int64_t r = right.at(i).as_int();
+    const std::int64_t f = feature.at(i).as_int();
+    const std::uint64_t code = split.at(i).as_uint();
+    const auto leaf_value = static_cast<float>(value.at(i).as_double());
+    const auto leaf_variance = static_cast<float>(variance.at(i).as_double());
+    if (f == kLeaf) {
+      if (l != -1 || r != -1 || code != 0) {
+        throw std::runtime_error(
+            "DecisionTree::load_state: leaf with children or a threshold");
+      }
+      push_node(kLeafFs, leaf_value, leaf_variance);
+      continue;
+    }
+    const auto self = static_cast<std::int64_t>(i);
+    if (l >= count || r >= count) {
       throw std::runtime_error(
           "DecisionTree::load_state: child index out of range");
     }
-    nodes_.push_back(node);
+    if (l <= self || r <= self) {
+      throw std::runtime_error(
+          "DecisionTree::load_state: child index at or below its parent's");
+    }
+    push_node((static_cast<std::uint32_t>(static_cast<std::int16_t>(f)) << 16) |
+                  static_cast<std::uint16_t>(code),
+              leaf_value, leaf_variance);
+    set_children(i, static_cast<std::int32_t>(l), static_cast<std::int32_t>(r));
   }
-  depth_ = static_cast<unsigned>(v.at("depth").as_uint());
+  // Depth of the deepest node reachable from the root. Children follow
+  // their parents, so one pass in index order settles every depth.
+  std::vector<std::uint32_t> reach(n, 0);  // depth + 1; 0 = unreached
+  reach[0] = 1;
+  unsigned tree_depth = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (reach[i] == 0) continue;
+    tree_depth = std::max(tree_depth, reach[i] - 1);
+    if (is_leaf(i)) continue;
+    for (const std::uint64_t child :
+         {node_lr_[i] & 0xFFFFFFFF, node_lr_[i] >> 32}) {
+      auto& d = reach[static_cast<std::size_t>(child)];
+      d = std::max(d, reach[i] + 1);
+    }
+  }
+  const std::uint64_t stored_depth = v.at("depth").as_uint();
+  // Batch routing takes depth() passes, and the dense walk's mask arena is
+  // sized by max_depth.
+  if (stored_depth < tree_depth || stored_depth > options_.max_depth) {
+    throw std::runtime_error(
+        "DecisionTree::load_state: depth disagrees with the node arrays or "
+        "exceeds max_depth");
+  }
+  depth_ = static_cast<unsigned>(stored_depth);
 
   const util::JsonValue& inc = v.at("inc");
   inc_enabled_ = inc.at("enabled").as_bool();
@@ -1000,7 +1117,13 @@ void DecisionTree::load_state(const util::JsonValue& v) {
   }
   leaf_of_.clear();
   for (const util::JsonValue& l : inc.at("leaf_of").items()) {
-    leaf_of_.push_back(static_cast<std::int32_t>(l.as_int()));
+    const std::int64_t leaf = l.as_int();
+    if (leaf < 0 || static_cast<std::uint64_t>(leaf) >= n ||
+        !is_leaf(static_cast<std::size_t>(leaf))) {
+      throw std::runtime_error(
+          "DecisionTree::load_state: leaf_of entry is not a leaf");
+    }
+    leaf_of_.push_back(static_cast<std::int32_t>(leaf));
   }
   node_depth_.clear();
   for (const util::JsonValue& d : inc.at("node_depth").items()) {
@@ -1011,7 +1134,7 @@ void DecisionTree::load_state(const util::JsonValue& v) {
     throw std::runtime_error(
         "DecisionTree::load_state: inconsistent membership arrays");
   }
-  if (!node_depth_.empty() && node_depth_.size() != nodes_.size()) {
+  if (!node_depth_.empty() && node_depth_.size() != n) {
     throw std::runtime_error(
         "DecisionTree::load_state: node_depth/nodes mismatch");
   }
@@ -1021,7 +1144,6 @@ void DecisionTree::load_state(const util::JsonValue& v) {
     if (inc_base_ == 0) inc_base_ = inc_rows_.size();
     if (inc_base_ > 0) reserve_incremental(inc_base_);
   }
-  rebuild_flat();
 }
 
 }  // namespace lynceus::model

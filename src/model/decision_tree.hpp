@@ -18,10 +18,36 @@
 /// reused across refits, so a refit at steady state performs no heap
 /// allocation.
 ///
+/// The scan has fast paths. Each one yields exactly the tree, leaf values
+/// and RNG stream of the plain per-level sweep, for these reasons:
+///   * Occupied levels are tracked in per-feature bitmasks (one 64-bit
+///     word per 64 levels). The sweep visits the set bits in level order
+///     and stops before the highest one. It never scores an empty level.
+///     An empty level would repeat the previous candidate's score, which
+///     the strict `>` first-max rule never takes. Below the lowest or from
+///     the highest occupied level one side is empty, so no candidate is
+///     scored there either.
+///   * A feature seen on a single level at a node is constant on every
+///     descendant, since descendants hold subsets of its rows. It offers
+///     no candidate there, so descendants skip its statistics. The feature
+///     draw itself is unchanged, so the RNG stream is too.
+///   * A node holding copies of exactly two configurations has, for every
+///     feature, at most one threshold: the lower of the two codes. Each
+///     level bucket then holds one configuration, whose row-order target
+///     sum is that bucket's sum. So per-configuration (count, sum) gives
+///     the same score without bucket passes. A node holding one
+///     configuration cannot split.
+///   * Candidate scores are computed after the prefix pass, with the same
+///     expression, and the first strict maximum is selected in the same
+///     (feature, level) order.
+///   * The row partition is a branch-free Lomuto pass that yields the same
+///     permutation, so children see their rows, and sum their targets, in
+///     the same order.
+///
 /// Batched prediction: flat-layout determinism contract
 /// -----------------------------------------------------
-/// A fitted tree maintains a structure-of-arrays mirror of its nodes —
-/// contiguous feature / threshold-code / left-child / right-child /
+/// A tree stores its nodes as a structure of arrays — packed routing words
+/// (feature << 16 | threshold code, and left | right << 32) plus
 /// leaf-value / leaf-variance arrays — in which leaves *self-loop*
 /// (left == right == self, threshold == 0xFFFF), so batch routing is a
 /// branch-free level-synchronous sweep: every row advances one level per
@@ -35,6 +61,9 @@
 ///     mask-less spaces), whose per-row compare/route loop the compiler
 ///     auto-vectorizes (explicit AVX2 gathers behind LYNCEUS_SIMD, with a
 ///     runtime CPU check; identical integer routing either way).
+/// plan_batch() picks the route once per batch and, for the dense walk,
+/// builds the batch's row mask once; an ensemble plans a batch once and
+/// routes it through every tree.
 ///
 /// What is bit-pinned: the leaf each row lands in, the float leaf
 /// value/variance read from it, and the per-row accumulation order of
@@ -43,12 +72,10 @@
 /// routing is pure integer compare/select; no FP reassociation anywhere).
 /// Callers may mix scalar and batch entry points freely.
 ///
-/// When the flat layout is rebuilt: at the end of fit(), load_state() and
-/// assign_fitted(), and after every append_incremental() (appends mutate
-/// the node array in place, so the mirror is refreshed from it; capacity
-/// is pre-reserved by the incremental reservation, keeping appends
-/// allocation-free). The AoS node array remains the single source of
-/// truth for building, serialization and the scalar descent.
+/// The same arrays serve building, the scalar descent and serialization:
+/// every node is written as it is created (fit(), append_incremental()
+/// re-splits, load_state()), and an inner node's children word once its
+/// children exist. There is no second copy to keep in sync.
 ///
 /// Scratch ownership: batch entry points take a caller-owned
 /// PredictScratch (BaggingEnsemble owns one per predict chunk); passing
@@ -76,7 +103,10 @@ struct PredictScratch {
   // precomputed row*cols code offsets the SIMD gather kernel consumes.
   std::vector<std::int32_t> cur;
   std::vector<std::uint32_t> row_base;
-  // Dense level-mask walk.
+  // Dense level-mask walk. plan_batch() sets `dense` and, when it is set,
+  // fills the batch's row mask; the row -> batch position map serves the
+  // position-indexed entry points, the arena and stack each tree's walk.
+  bool dense = false;
   std::vector<std::uint64_t> root_mask;
   std::vector<std::uint32_t> pos_of_row;
   std::vector<std::uint64_t> arena;
@@ -152,6 +182,24 @@ class DecisionTree {
                         double* var_sum,
                         PredictScratch* scratch = nullptr) const;
 
+  /// Plans one batch for every tree built with this tree's options: picks
+  /// the route (see file comment) and, for the dense walk, builds the row
+  /// mask in `s`. Also capacity-warms every route buffer of `s` to the
+  /// space bound, so steady-state batches stay allocation-free whichever
+  /// route they take.
+  void plan_batch(const FeatureMatrix& fm, const std::uint32_t* rows,
+                  std::size_t n, PredictScratch& s) const;
+
+  /// accumulate_batch() over a batch already planned in `s` by
+  /// plan_batch(fm, rows, n, s) — the ensemble's per-tree call — except
+  /// that on the dense route (`s.dense`) the accumulators are indexed by
+  /// row id and must span fm.rows(): row rows[i] accumulates into
+  /// sum[rows[i]]. That keeps the per-row position lookup out of every
+  /// tree's walk; the caller maps rows to positions once.
+  void accumulate_planned(const FeatureMatrix& fm, const std::uint32_t* rows,
+                          std::size_t n, double* sum, double* sumsq,
+                          double* var_sum, PredictScratch& s) const;
+
   /// --- Incremental refit support (used by BaggingEnsemble's
   /// --- append_and_update; see core/lookahead.hpp for the engine-level
   /// --- determinism contract).
@@ -165,7 +213,7 @@ class DecisionTree {
   /// True when the tree holds captured membership (fitted while capture
   /// was on), i.e. append_incremental() may be called.
   [[nodiscard]] bool has_membership() const noexcept {
-    return !inc_rows_.empty() && node_depth_.size() == nodes_.size();
+    return !inc_rows_.empty() && node_depth_.size() == node_fs_.size();
   }
 
   /// Appends one training sample to the captured membership and updates
@@ -200,9 +248,9 @@ class DecisionTree {
   /// Throws std::runtime_error on a malformed or inconsistent state.
   void load_state(const util::JsonValue& v);
 
-  [[nodiscard]] bool fitted() const noexcept { return !nodes_.empty(); }
+  [[nodiscard]] bool fitted() const noexcept { return !node_fs_.empty(); }
   [[nodiscard]] std::size_t node_count() const noexcept {
-    return nodes_.size();
+    return node_fs_.size();
   }
   [[nodiscard]] unsigned depth() const noexcept { return depth_; }
 
@@ -211,16 +259,11 @@ class DecisionTree {
   }
 
  private:
-  /// Compact node: leaves have `feature == kLeaf`.
-  struct Node {
-    std::int32_t left = -1;   ///< index of the <=-side child
-    std::int32_t right = -1;  ///< index of the >-side child
-    std::int16_t feature = kLeaf;
-    std::uint16_t split_code = 0;  ///< go left iff code(row) <= split_code
-    float value = 0.0F;            ///< leaf mean (valid for leaves)
-    float variance = 0.0F;         ///< leaf target variance (leaves only)
-  };
+  /// Serialized `feature` of a leaf.
   static constexpr std::int16_t kLeaf = -1;
+  /// Routing word of a leaf: feature 0, threshold 0xFFFF (every code goes
+  /// "left", i.e. back to the leaf itself).
+  static constexpr std::uint32_t kLeafFs = 0xFFFF;
 
   /// Fit-time scratch, owned by the tree so consecutive refits (the
   /// lookahead engine refits thousands of times per decision) reuse the
@@ -230,31 +273,48 @@ class DecisionTree {
     std::vector<double> y;           ///< targets, kept parallel to idx
     std::vector<std::uint32_t> cnt;  ///< per-level counts (split search)
     std::vector<double> sum;         ///< per-level target sums
+    std::vector<std::uint64_t> occ;  ///< per-feature occupied-level bits
+    // One feature's threshold candidates: level, left count and sum, score.
+    std::vector<std::uint16_t> cand_code;
+    std::vector<std::uint32_t> cand_n;
+    std::vector<double> cand_sum;
+    std::vector<double> cand_score;
     std::vector<std::uint16_t> feature_order;  ///< feature-subset sampling
+    std::size_t cols = 0;    ///< feature count the buffers are sized for
+    std::size_t stride = 0;  ///< level slots per feature (max level count)
+
+    /// Sizes the buffers for `cols` features of up to `stride` levels.
+    /// Grows only: new buckets are zero and the scan leaves every bucket
+    /// and occupancy word zero, so nothing is refilled per fit.
+    void size_for(std::size_t cols, std::size_t stride);
   };
 
   struct BuildCtx;
+  /// Builds the subtree over rows [begin, end) at `depth` and returns its
+  /// root index. Bit f of `constant` (f < 64) marks feature f as constant
+  /// on these rows (file comment, inherited constants).
   std::int32_t build(BuildCtx& ctx, std::size_t begin, std::size_t end,
-                     unsigned depth);
+                     unsigned depth, std::uint64_t constant);
+  /// Resets `scratch_` for a build over the samples (rows, y).
+  BuildCtx start_build(const FeatureMatrix& fm, util::Rng& rng,
+                       const std::vector<std::uint32_t>& rows,
+                       const std::vector<double>& y);
 
-  /// Dense batch path: routes the whole batch through the flat arrays as
-  /// row bitmasks intersected with the FeatureMatrix's precomputed level
-  /// masks (a split costs mask_words() word-ANDs instead of one comparison
-  /// per row), invoking `leaf(batch_position, node_index)` for every
-  /// routed row. Returns false — caller falls back to the level-sync
-  /// sweep — when masks are unavailable, the batch is sparse relative to
-  /// the space, or `rows` contains duplicates.
+  /// Dense batch path: routes the batch planned in `s` (plan_batch) through
+  /// the flat arrays as row bitmasks intersected with the FeatureMatrix's
+  /// precomputed level masks (a split costs mask_words() word-ANDs instead
+  /// of one comparison per row), invoking `leaf(node_index, row_mask)` once
+  /// per reached leaf with the mask of the batch rows that landed there.
   template <class LeafFn>
-  bool dense_walk(const FeatureMatrix& fm, const std::uint32_t* rows,
-                  std::size_t n, PredictScratch& s, const LeafFn& leaf) const;
+  void dense_walk(const FeatureMatrix& fm, PredictScratch& s,
+                  const LeafFn& leaf) const;
 
-  /// Capacity-warms every batch-route buffer of `s` (both the dense-walk
-  /// and level-sync sets) to the space bound, so the first batch call with
-  /// a scratch slot sizes it for every in-space batch regardless of which
-  /// route later calls take (steady state stays allocation-free even when
-  /// the route flips after warm-up).
-  void warm_scratch(const FeatureMatrix& fm, std::size_t n,
-                    PredictScratch& s) const;
+  /// The dense-walk half of the accumulate entry points: accumulators
+  /// indexed by row id (kByRow) or by batch position `pos[row]`.
+  template <bool kByRow>
+  void accumulate_dense(const FeatureMatrix& fm, double* sum, double* sumsq,
+                        double* var_sum, const std::uint32_t* pos,
+                        PredictScratch& s) const;
 
   /// Level-synchronous sweep (always available): after the call,
   /// `s.cur[i]` is the index of the leaf row `rows[i]` lands in (see file
@@ -262,13 +322,18 @@ class DecisionTree {
   void route_level_sync(const FeatureMatrix& fm, const std::uint32_t* rows,
                         std::size_t n, PredictScratch& s) const;
 
-  /// Rebuilds the flat SoA mirror from `nodes_` (file comment, "When the
-  /// flat layout is rebuilt").
-  void rebuild_flat();
-  // Refreshes one slot of the flat mirror from nodes_[i] (routing fields,
-  // packed words, leaf statistics). rebuild_flat() is this over all nodes;
-  // append_incremental uses it to patch only the slots a re-split touched.
-  void refresh_flat_node(std::size_t i);
+  /// Appends a node with routing word `fs` and leaf statistics (value,
+  /// variance), self-looped — a leaf until set_children() is called on it.
+  /// Returns its index.
+  std::int32_t push_node(std::uint32_t fs, float value, float variance);
+  void set_children(std::size_t node, std::int32_t left, std::int32_t right);
+  [[nodiscard]] bool is_leaf(std::size_t node) const noexcept {
+    return static_cast<std::uint32_t>(node_lr_[node]) == node;
+  }
+  /// Drops every node.
+  void clear_nodes();
+  /// Reserves `cap` nodes in every node array.
+  void reserve_nodes(std::size_t cap);
 
   /// Leaf index reached by `row` (the scalar predict() descent).
   [[nodiscard]] std::int32_t find_leaf(const FeatureMatrix& fm,
@@ -279,27 +344,19 @@ class DecisionTree {
   void reserve_incremental(std::size_t base_samples);
 
   TreeOptions options_;
-  std::vector<Node> nodes_;
   unsigned depth_ = 0;
   FitScratch scratch_;
 
-  // Flat SoA mirror of `nodes_` (file comment). Leaves self-loop:
-  // flat_left_[i] == flat_right_[i] == i and flat_split_[i] == 0xFFFF, so
-  // the level-sync route needs no leaf test. 32-bit lanes throughout so
-  // the SIMD path gathers without width conversions.
-  std::vector<std::int32_t> flat_feature_;
-  std::vector<std::int32_t> flat_split_;
-  std::vector<std::int32_t> flat_left_;
-  std::vector<std::int32_t> flat_right_;
-  std::vector<float> flat_value_;
-  std::vector<float> flat_variance_;
-  // Packed duplicates of the four routing arrays, one load each instead
-  // of two: fs = (feature << 16) | split_code, lr = left | (right << 32).
-  // The scalar level-sync sweep is load-port bound, so halving its loads
-  // is what makes the sweep beat the per-row walk on tiny spaces (scout
-  // is 69 rows); the AVX2 kernel keeps gathering the unpacked arrays.
-  std::vector<std::uint32_t> flat_fs_;
-  std::vector<std::uint64_t> flat_lr_;
+  // The nodes, structure-of-arrays (file comment): packed routing words
+  // fs = (feature << 16) | split_code (go left iff code <= split_code) and
+  // lr = left | (right << 32), one load each per routed row, plus the leaf
+  // mean and target variance (0 for inner nodes). Leaves self-loop
+  // (left == right == self, fs == kLeafFs), so routing needs no leaf test;
+  // children always follow their parent, so no inner node self-loops.
+  std::vector<std::uint32_t> node_fs_;
+  std::vector<std::uint64_t> node_lr_;
+  std::vector<float> node_value_;
+  std::vector<float> node_variance_;
 
   bool inc_enabled_ = false;
   std::size_t inc_reserve_ = 0;

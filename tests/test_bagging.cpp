@@ -331,6 +331,26 @@ TEST(BaggingSerialization, LoadValidatesSignature) {
   EXPECT_THROW((void)other_mode.load_fit(state), std::runtime_error);
 }
 
+TEST(BaggingSerialization, LoadRejectsAMalformedTree) {
+  // The restore path of a remote session: a tree whose stored depth
+  // exceeds max_depth must be refused, not routed through.
+  const auto sp = grid_space(6, 6);
+  const FeatureMatrix fm(sp);
+  BaggingEnsemble ens;
+  fit_noisy(ens, fm, 5);
+  util::JsonWriter w;
+  ASSERT_TRUE(ens.save_fit(w));
+  std::string state = w.str();
+  const std::size_t at = state.find("\"depth\":");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t digits = at + std::string("\"depth\":").size();
+  const std::size_t stop = state.find_first_not_of("0123456789", digits);
+  state.replace(digits, stop - digits, "99");
+  BaggingEnsemble back;
+  EXPECT_THROW((void)back.load_fit(util::parse_json(state)),
+               std::runtime_error);
+}
+
 TEST(BaggingSerialization, TotalVarianceModeRoundTrips) {
   const auto sp = grid_space(6, 6);
   const FeatureMatrix fm(sp);

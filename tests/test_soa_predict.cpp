@@ -191,7 +191,7 @@ TEST(SoaPredict, AssignFittedRebuildsFlatLayout) {
 
   // A destination holding a *different* fitted tree (same options — the
   // assign_fitted contract — but another shape from another fit seed)
-  // must drop its stale flat mirror, not serve leaves of the old tree.
+  // must drop its old node arrays, not serve leaves of the old tree.
   DecisionTree reused;
   fit_noisy(reused, fm, 42);
   reused.assign_fitted(src);

@@ -58,6 +58,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -109,6 +110,18 @@ void print_case(std::ostringstream& out, const std::string& name,
                                       : -1L)
       << " hash=" << h << "\n";
 }
+
+/// The TF-CNN cases: the LA=1 golden case and the shape of the end-to-end
+/// benchmark's `deep` sessions (LA=2, screen 12), where nearly all of the
+/// decision time is ensemble refits and dense subset predictions.
+struct TfCase {
+  const char* name;
+  unsigned lookahead;
+  unsigned screen_width;
+  std::uint64_t seed;
+};
+constexpr TfCase kTfCases[] = {{"tf_cnn_la1", 1, 24, 3},
+                               {"tf_cnn_la2_s12", 2, 12, 5}};
 
 /// The multi-constraint case's synthetic energy metric (same
 /// construction as bench_micro's fixture).
@@ -240,7 +253,7 @@ void print_fault_cases(std::ostringstream& out, bool incremental,
   }
 }
 
-/// The --shards path: the same five golden cases, opened as concurrent
+/// The --shards path: the same golden cases, opened as concurrent
 /// TuningService sessions and drained through the sharded drain. Sessions
 /// are grouped per dataset (one replay runner per shard each); the scout
 /// group carries the three single-constraint lookaheads *and* the
@@ -277,14 +290,16 @@ void print_sharded_cases(std::ostringstream& out, bool incremental,
   const auto scout_out =
       drain_on_shards(std::move(scout_steppers), shards, sopts, scout_async);
 
-  core::LynceusOptions tf_opts;
-  tf_opts.lookahead = 1;
-  tf_opts.screen_width = 24;
-  tf_opts.incremental_refit = incremental;
   const auto tf_problem = eval::make_problem(tf, 2.0);
   std::vector<std::unique_ptr<core::OptimizerStepper>> tf_steppers;
-  tf_steppers.push_back(
-      core::LynceusOptimizer(tf_opts).make_stepper(tf_problem, 3));
+  for (const TfCase& c : kTfCases) {
+    core::LynceusOptions opts;
+    opts.lookahead = c.lookahead;
+    opts.screen_width = c.screen_width;
+    opts.incremental_refit = incremental;
+    tf_steppers.push_back(
+        core::LynceusOptimizer(opts).make_stepper(tf_problem, c.seed));
+  }
   const auto tf_out = drain_on_shards(std::move(tf_steppers), shards, sopts,
                                       eval::AsyncTableRunner(tf));
 
@@ -292,7 +307,9 @@ void print_sharded_cases(std::ostringstream& out, bool incremental,
     print_case(out, "scout_la" + std::to_string(la), scout_out[la].result,
                combined);
   }
-  print_case(out, "tf_cnn_la1", tf_out[0].result, combined);
+  for (std::size_t i = 0; i < std::size(kTfCases); ++i) {
+    print_case(out, kTfCases[i].name, tf_out[i].result, combined);
+  }
   print_case(out, "scout_mc_la1", scout_out[3].result, combined);
 }
 
@@ -338,20 +355,20 @@ void print_classic_cases(std::ostringstream& out, bool incremental,
                        : lyn.optimize(problem, runner, 1);
     print_case(out, "scout_la" + std::to_string(la), r, combined);
   }
-  {
+  for (const TfCase& c : kTfCases) {
     core::LynceusOptions opts;
-    opts.lookahead = 1;
-    opts.screen_width = 24;
+    opts.lookahead = c.lookahead;
+    opts.screen_width = c.screen_width;
     opts.incremental_refit = incremental;
     opts.pool = pool;
     opts.branch_parallel = branch_parallel;
     core::LynceusOptimizer lyn(opts);
     eval::TableRunner runner(tf);
     const auto problem = eval::make_problem(tf, 2.0);
-    const auto r = via_steps
-                       ? drive_via_steps(*lyn.make_stepper(problem, 3), runner)
-                       : lyn.optimize(problem, runner, 3);
-    print_case(out, "tf_cnn_la1", r, combined);
+    const auto r =
+        via_steps ? drive_via_steps(*lyn.make_stepper(problem, c.seed), runner)
+                  : lyn.optimize(problem, runner, c.seed);
+    print_case(out, c.name, r, combined);
   }
 
   // Multi-constraint run with a synthetic energy cap.
