@@ -36,8 +36,9 @@ int main() {
   problems.reserve(datasets.size());
   for (const auto& ds : datasets) problems.push_back(eval::make_problem(ds, 3.0));
 
+  util::ThreadPool pool(util::default_worker_count());
   service::TuningService::Options options;
-  options.pool_workers = util::default_worker_count();
+  options.pool = &pool;  // borrowed: outlives the service below
   options.root_cache_capacity = 8;
   service::TuningService service(options);
 

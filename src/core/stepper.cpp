@@ -1,6 +1,7 @@
 #include "core/stepper.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace lynceus::core {
 
@@ -267,6 +268,21 @@ RunOutcome outcome_from_string(const std::string& s) {
   throw std::runtime_error("OptimizerStepper::restore: unknown outcome '" +
                            s + "'");
 }
+
+/// A snapshot's config id, range-checked against the space *before* it is
+/// narrowed to ConfigId: a client-written id of 2^32 + k would otherwise
+/// alias config k.
+ConfigId config_id_from(const util::JsonValue& v, std::size_t space_rows,
+                        const char* section) {
+  const std::uint64_t id = v.as_uint();
+  if (id >= space_rows) {
+    throw std::runtime_error(std::string("OptimizerStepper::restore: ") +
+                             section + " config id " + std::to_string(id) +
+                             " is outside the " + std::to_string(space_rows) +
+                             "-row configuration space");
+  }
+  return static_cast<ConfigId>(id);
+}
 }  // namespace
 
 void OptimizerStepper::restore(const std::string& snapshot_json) {
@@ -287,7 +303,8 @@ void OptimizerStepper::restore(const std::string& snapshot_json) {
         v.at("optimizer").as_string() + "', this stepper is '" + name() +
         "'");
   }
-  if (v.at("space_rows").as_uint() != st_.problem->space->size()) {
+  const std::size_t rows = st_.problem->space->size();
+  if (v.at("space_rows").as_uint() != rows) {
     throw std::runtime_error(
         "OptimizerStepper::restore: configuration-space size mismatch");
   }
@@ -301,7 +318,7 @@ void OptimizerStepper::restore(const std::string& snapshot_json) {
     std::size_t prev_seq = 0;
     for (const util::JsonValue& f : fs->items()) {
       FailureRecord rec;
-      rec.id = static_cast<ConfigId>(f.at("id").as_uint());
+      rec.id = config_id_from(f.at("id"), rows, "failures");
       rec.cost = f.at("cost").as_double();
       rec.after_samples = static_cast<std::size_t>(f.at("seq").as_uint());
       if (rec.after_samples < prev_seq) {
@@ -320,7 +337,7 @@ void OptimizerStepper::restore(const std::string& snapshot_json) {
       ++fi;
     }
     Sample sample;
-    sample.id = static_cast<ConfigId>(s.at("id").as_uint());
+    sample.id = config_id_from(s.at("id"), rows, "samples");
     sample.runtime_seconds = s.at("runtime").as_double();
     sample.cost = s.at("cost").as_double();
     sample.feasible = s.at("feasible").as_bool();
@@ -380,8 +397,7 @@ void OptimizerStepper::restore(const std::string& snapshot_json) {
     told_.clear();
     told_count_ = 0;
     for (std::size_t i = 0; i < pending.size(); ++i) {
-      action_.configs.push_back(
-          static_cast<ConfigId>(pending.at(i).as_uint()));
+      action_.configs.push_back(config_id_from(pending.at(i), rows, "pending"));
       const util::JsonValue& t = told.at(i);
       if (t.is_null()) {
         told_.emplace_back(std::nullopt);

@@ -54,8 +54,6 @@ TuningServer::TuningServer(Options options) : options_(std::move(options)) {
   port_ = local_port(listener_.fd());
 
   const std::size_t k = options_.shards;
-  shard_pool_workers_ =
-      shard_pool_width(std::thread::hardware_concurrency(), k);
   accept_lanes_.reserve(k);
   request_lanes_.resize(k);
   reply_lanes_.resize(k);
@@ -623,7 +621,7 @@ void TuningServer::shard_loop(std::size_t s) {
   sopts.root_cache_capacity = options_.root_cache_capacity;
   sopts.cache_store_models = options_.cache_store_models;
   sopts.run_policy = options_.run_policy;
-  sopts.pool_workers = shard_pool_workers_;
+  sopts.pool = &pool_;
   service::TuningService svc(sopts);
 
   struct SessionInfo {

@@ -8,8 +8,8 @@
 ///
 /// ## Thread-per-role layout
 ///
-/// One server runs 2·K + 1 threads for K shards (plus each shard's
-/// root-simulation pool, see Options::shards), wired exclusively by
+/// One server runs 2·K + 1 threads for K shards (plus one root-simulation
+/// pool every shard borrows, see pool_workers()), wired exclusively by
 /// bounded lock-free SPSC queues (util/spsc_queue.hpp) — each lane has
 /// exactly one writer and one reader by construction, so no lock is ever
 /// taken on the request path:
@@ -33,12 +33,21 @@
 ///     with a typed fatal `error` frame and the connection is closed —
 ///     the service loops never see it.
 ///   * **K service-loop threads** each own one `service::TuningService`
-///     (FIFO event loop, per-shard RootCache and root-simulation pool):
-///     pop requests round-robin across the transport lanes, apply them,
-///     sweep `next_runs()`, and push replies + server-initiated `run`
-///     frames back to the transports. The server itself executes no
-///     profiling runs — remote drivers own their clusters (or replay
-///     tables) and tell results back.
+///     (FIFO event loop, per-shard RootCache): pop requests round-robin
+///     across the transport lanes, apply them, sweep `next_runs()`, and
+///     push replies + server-initiated `run` frames back to the
+///     transports. The server itself executes no profiling runs — remote
+///     drivers own their clusters (or replay tables) and tell results
+///     back.
+///   * **One root-simulation pool** of util::default_worker_count()
+///     workers, owned by the server and borrowed by every shard's
+///     service (TuningService::Options::pool). A deciding shard fans its
+///     roots out over it (§4.3 of the paper: paths rooted at distinct
+///     configurations are independent), so when one shard decides while
+///     the others idle, every core helps that one decision; concurrent
+///     decisions share the workers, each calling shard thread always
+///     working on its own decision. The pool is built before the shard
+///     threads start and destroyed after stop() joins them.
 ///
 /// ## Backpressure (parked readers, never blocking spins)
 ///
@@ -72,11 +81,13 @@
 /// session lives entirely on one single-threaded shard loop, and the
 /// per-session trajectory contract of service/tuning_service.hpp is
 /// interleaving-independent — so neither the transport threads, the
-/// shard count, the shards' pool width, nor the number of concurrent
-/// connections can move a byte of any trajectory.
+/// shard count, the pool width, how the pool's workers split between
+/// concurrently deciding shards (core/lookahead.hpp's pooled-determinism
+/// contract: root values merge in root order), nor the number of
+/// concurrent connections can move a byte of any trajectory.
 /// tests/test_net_service.cpp pins 64 remote sessions across shards, and
-/// TF/Scout LA=2 sessions on a pooled shard, against their solo
-/// in-process runs.
+/// TF/Scout LA=2 sessions deciding on both shards of a pooled server at
+/// once, against their solo in-process runs.
 
 #include <atomic>
 #include <cstdint>
@@ -112,18 +123,9 @@ class TuningServer {
     /// 0 = ephemeral (query the bound port with port()).
     std::uint16_t port = 0;
     /// Independent service loops (>= 1); sessions are partitioned by
-    /// `session_id % shards`.
-    ///
-    /// Each shard's TuningService also gets a root-simulation pool sized
-    /// from the host, with no option of its own: shard_pool_width(), the
-    /// library's pool sizing rule (util::worker_count_for) applied to one
-    /// shard's share of the hardware threads. 2 shards on 4 cores get 1
-    /// worker each; 1- and 2-core hosts get none, and decisions run
-    /// inline on the shard thread. The pool fans a decision's roots out
-    /// (§4.3 of the paper: paths rooted at distinct configurations are
-    /// independent) and merges their values in root order, so the width
-    /// changes only the wall clock, never a trajectory
-    /// (core/lookahead.hpp's pooled-determinism contract).
+    /// `session_id % shards`. All shards borrow the server's one
+    /// root-simulation pool (see pool_workers()), so the shard count
+    /// does not divide the cores a single decision can use.
     std::size_t shards = 2;
     /// Per-shard RootCache capacity (0 = off). Sessions sharing a shard
     /// AND a recurrent problem warm-start each other, exactly as in the
@@ -182,18 +184,12 @@ class TuningServer {
   /// The bound listening port (resolves ephemeral binds).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  /// Root-simulation pool workers per shard for `shards` shards on a host
-  /// reporting `hw` hardware threads: util::worker_count_for(hw / shards).
-  /// 0 means decisions run inline on the shard thread.
-  [[nodiscard]] static constexpr std::size_t shard_pool_width(
-      unsigned hw, std::size_t shards) noexcept {
-    return shards == 0 ? 0 : util::worker_count_for(
-                                 static_cast<unsigned>(hw / shards));
-  }
-
-  /// The pool width every shard of this server runs with.
-  [[nodiscard]] std::size_t shard_pool_workers() const noexcept {
-    return shard_pool_workers_;
+  /// Workers of the root-simulation pool every shard borrows:
+  /// util::default_worker_count(), sized from the host with no option.
+  /// 0 (single-core hosts) means decisions run inline on the shard
+  /// threads. The width changes only the wall clock, never a trajectory.
+  [[nodiscard]] std::size_t pool_workers() const noexcept {
+    return pool_.worker_count();
   }
 
   /// Stops accepting, closes every connection, joins all threads. Open
@@ -253,7 +249,9 @@ class TuningServer {
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> next_session_{0};
-  std::size_t shard_pool_workers_ = 0;
+  /// Declared before threads_, so it is built before any shard starts;
+  /// stop() joins the shards before it is destroyed.
+  util::ThreadPool pool_{util::default_worker_count()};
 
   std::vector<std::unique_ptr<util::SpscQueue<NewConn>>> accept_lanes_;
   /// request_lanes_[t][s]: transport t → shard s.

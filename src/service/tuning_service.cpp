@@ -14,9 +14,6 @@ TuningService::TuningService() : TuningService(Options{}) {}
 
 TuningService::TuningService(Options options) : options_(std::move(options)) {
   options_.run_policy.validate();
-  if (options_.pool_workers > 0) {
-    pool_ = std::make_unique<util::ThreadPool>(options_.pool_workers);
-  }
   if (options_.root_cache_capacity > 0) {
     core::RootCache::Options copts;
     copts.capacity = options_.root_cache_capacity;

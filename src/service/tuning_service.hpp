@@ -15,12 +15,12 @@
 ///   * `open_session(spec)` starts a session from one declarative
 ///     `SessionSpec` (service/session_spec.hpp: optimizer kind — Lynceus,
 ///     multi-constraint, BO or RND — problem, knobs, run policy, seed),
-///     injecting the service's shared resources: one
-///     `util::ThreadPool` fanning out every session's root simulations,
-///     and optionally one shared `core::RootCache`, so recurrent sessions
-///     of the same job warm-start each other's root fits across the whole
-///     service. Per-session observers and budgets ride in unchanged
-///     through the optimizer options / the problem.
+///     injecting the service's shared resources: the borrowed
+///     `util::ThreadPool` (Options::pool) fanning out every session's
+///     root simulations, and optionally one shared `core::RootCache`, so
+///     recurrent sessions of the same job warm-start each other's root
+///     fits across the whole service. Per-session observers and budgets
+///     ride in unchanged through the optimizer options / the problem.
 ///   * `next_runs()` drains the ready queue: it ask()s every session with
 ///     no outstanding runs, in deterministic round-robin order (see
 ///     below), and returns the profiling runs to launch.
@@ -100,8 +100,9 @@
 /// FIFO service with its own runner, so per-session trajectories,
 /// quarantine and journal-per-tell semantics are exactly the FIFO ones
 /// above. Shards share nothing but what the caller hands them (problem,
-/// dataset — read-only); a journal callback shared across shards is
-/// invoked from every shard's thread and must be thread-safe.
+/// dataset — read-only; a root-simulation pool, which serves concurrent
+/// callers); a journal callback shared across shards is invoked from
+/// every shard's thread and must be thread-safe.
 ///
 /// Single-threaded by design: the service is an event-loop core — calls
 /// are cheap state transitions (ask() decision work happens inside
@@ -154,9 +155,14 @@ struct PendingRun {
 class TuningService {
  public:
   struct Options {
-    /// Workers of the service-owned thread pool shared by every session's
-    /// root-simulation fan-out (0 = no pool, decisions run inline).
-    std::size_t pool_workers = 0;
+    /// Root-simulation pool shared by every session's fan-out, borrowed:
+    /// the caller owns it and keeps it alive for the service's lifetime
+    /// (nullptr = decisions run inline) — LynceusOptions::pool's contract.
+    /// Services on different threads may borrow one pool; it serves
+    /// concurrent callers, and an idle worker helps whichever decision is
+    /// running. The width changes only the wall clock, never a trajectory
+    /// (core/lookahead.hpp's pooled-determinism contract).
+    util::ThreadPool* pool = nullptr;
     /// Capacity of the service-owned RootCache shared across sessions
     /// (0 = no shared cache). Sessions of one recurrent job reuse each
     /// other's root fits; unrelated jobs sharing one service should keep
@@ -264,7 +270,7 @@ class TuningService {
 
   /// The shared resources, for callers building their own steppers.
   [[nodiscard]] util::ThreadPool* shared_pool() noexcept {
-    return pool_ ? pool_.get() : nullptr;
+    return options_.pool;
   }
   [[nodiscard]] core::RootCache* shared_cache() noexcept {
     return cache_ ? cache_.get() : nullptr;
@@ -307,7 +313,6 @@ class TuningService {
   void journal(SessionId id);
 
   Options options_;
-  std::unique_ptr<util::ThreadPool> pool_;
   std::unique_ptr<core::RootCache> cache_;
   std::vector<Session> sessions_;  ///< index = SessionId
   std::deque<SessionId> ready_;    ///< FIFO of sessions to ask next

@@ -214,7 +214,14 @@ void ThreadPool::parallel_for(std::size_t n,
       return ctl->done.load(std::memory_order_acquire) >= ctl->n;
     });
   }
-  if (ctl->first_error) std::rethrow_exception(ctl->first_error);
+  // Take the exception out of the control block before rethrowing: a late
+  // helper may drop the block's last reference on a worker thread, and the
+  // exception object must not be released there while this caller's
+  // handler is still reading it. With several callers sharing one pool,
+  // helpers routinely start late.
+  if (std::exception_ptr error = std::move(ctl->first_error)) {
+    std::rethrow_exception(error);
+  }
 }
 
 void maybe_parallel_for(ThreadPool* pool, std::size_t n,

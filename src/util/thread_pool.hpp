@@ -10,6 +10,12 @@
 /// optional `ThreadPool*`; with a null pool, or a pool of one worker, work
 /// runs inline on the calling thread, so single-threaded determinism is the
 /// default and parallelism is strictly opt-in.
+///
+/// Any number of threads may call `parallel_for` / `parallel_ranges` on one
+/// pool at once (the network server's shards all borrow one pool). Idle
+/// workers help whichever call is waiting; every caller also works on its
+/// own call, so each call completes even while the workers serve others,
+/// and an exception reaches only the caller whose body threw it.
 
 #include <atomic>
 #include <condition_variable>

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -153,36 +154,18 @@ TEST(NetService, SixtyFourConcurrentRemoteSessionsMatchTheirSoloRuns) {
   EXPECT_EQ(counts[0] + counts[1], kSessions);
 }
 
-/// The sizing rule of every shard's root-simulation pool, as
-/// (hardware threads, shards) → workers per shard.
-TEST(NetService, ShardPoolWidthFollowsTheSizingRule) {
-  struct Case {
-    unsigned hw;
-    std::size_t shards;
-    std::size_t width;
-  };
-  const Case cases[] = {{0, 2, 0}, {1, 2, 0}, {2, 2, 0}, {4, 2, 1},
-                        {8, 2, 3}, {4, 1, 3}, {4, 8, 0}};
-  for (const Case& c : cases) {
-    EXPECT_EQ(TuningServer::shard_pool_width(c.hw, c.shards), c.width)
-        << "hw " << c.hw << ", shards " << c.shards;
-  }
-}
-
-/// One shard, so on any multi-core host its TuningService runs a
-/// root-simulation pool. LA=2 sessions on bundled TF and Scout jobs — the
-/// decisions the pool fans out; the second Scout session also runs
-/// intra-root branch parallelism and incremental refit — run
-/// concurrently on two connections and still match their solo, pool-free
-/// runs byte for byte.
-TEST(NetService, PooledShardLookaheadSessionsMatchTheirSoloRuns) {
+/// Two shards borrowing the server's one root-simulation pool. Two TF
+/// LA=2 sessions — one per shard, deciding at the same time, so both
+/// shard threads fan roots out over the shared workers concurrently — and
+/// a Scout LA=2 session running intra-root branch parallelism and
+/// incremental refit (nested ranges on the same pool) each match their
+/// solo, pool-free runs byte for byte.
+TEST(NetService, SharedPoolLookaheadSessionsOnBothShardsMatchTheirSoloRuns) {
   TuningServer::Options opts;
-  opts.shards = 1;
+  opts.shards = 2;
   opts.root_cache_capacity = 8;
   TuningServer server(opts);
-  EXPECT_EQ(server.shard_pool_workers(),
-            TuningServer::shard_pool_width(
-                std::thread::hardware_concurrency(), 1));
+  EXPECT_EQ(server.pool_workers(), util::default_worker_count());
 
   struct Suite {
     std::string name;
@@ -194,8 +177,9 @@ TEST(NetService, PooledShardLookaheadSessionsMatchTheirSoloRuns) {
   std::vector<std::vector<service::SessionSpec>> specs(suites.size());
   std::uint64_t seed = 5;
   for (std::size_t c = 0; c < suites.size(); ++c) {
-    for (const bool branchy : {false, true}) {
-      if (branchy && suites[c].name == "tf") continue;  // keeps TSan legs short
+    const bool branchy = suites[c].name == "scout";
+    // Both TF sessions, plus the one branch-parallel Scout session.
+    for (std::size_t n = 0; n < (branchy ? 1U : 2U); ++n) {
       service::SessionSpec spec;
       spec.optimizer = "lynceus";
       spec.seed = seed++;
@@ -209,21 +193,30 @@ TEST(NetService, PooledShardLookaheadSessionsMatchTheirSoloRuns) {
     }
   }
 
+  // Open everything from this thread first, so the TF sessions take
+  // consecutive global ids and therefore land on different shards.
+  std::vector<std::unique_ptr<TuningClient>> clients;
+  std::vector<std::vector<std::uint64_t>> ids(suites.size());
+  for (std::size_t c = 0; c < suites.size(); ++c) {
+    clients.push_back(
+        std::make_unique<TuningClient>("127.0.0.1", server.port()));
+    for (const service::SessionSpec& spec : specs[c]) {
+      ids[c].push_back(clients[c]->open(spec));
+    }
+  }
+  ASSERT_EQ(ids[0].size(), 2U);
+  EXPECT_NE(ids[0][0] % opts.shards, ids[0][1] % opts.shards);
+
   std::vector<std::vector<OptimizerResult>> remote(suites.size());
   std::vector<std::string> errors(suites.size());
   std::vector<std::thread> drivers;
   for (std::size_t c = 0; c < suites.size(); ++c) {
     drivers.emplace_back([&, c] {
       try {
-        TuningClient client("127.0.0.1", server.port());
         eval::AsyncTableRunner runner(suites[c].datasets.front());
-        std::vector<std::uint64_t> ids;
-        for (const service::SessionSpec& spec : specs[c]) {
-          ids.push_back(client.open(spec));
-        }
-        client.drain(runner);
-        for (const std::uint64_t id : ids) {
-          const TuningClient::ResultReply reply = client.result(id);
+        clients[c]->drain(runner);
+        for (const std::uint64_t id : ids[c]) {
+          const TuningClient::ResultReply reply = clients[c]->result(id);
           if (!reply.finished) {
             throw std::runtime_error("session " + std::to_string(id) +
                                      " not finished");

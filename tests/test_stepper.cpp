@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/bo.hpp"
@@ -409,6 +410,85 @@ TEST(StepperSnapshot, RestoreValidatesOptimizerAndSpace) {
 
   auto fresh = LynceusOptimizer().make_stepper(problem, 1);
   EXPECT_THROW(fresh->restore("{not json"), std::runtime_error);
+}
+
+/// A snapshot whose three id-carrying sections are all non-empty: one
+/// sample and one failure record from the bootstrap batch, and the next
+/// asked batch pending.
+std::string snapshot_with_every_id_section(const OptimizationProblem& problem) {
+  const auto ds = testing::tiny_dataset();
+  eval::TableRunner runner(ds);
+  auto stepper = LynceusOptimizer().make_stepper(problem, 1);
+  const std::vector<ConfigId> batch = stepper->ask().configs;
+  RunResult failed;
+  failed.outcome = RunOutcome::kFailed;
+  failed.cost = 0.02;
+  stepper->tell(batch[0], failed);
+  stepper->tell(batch[1], runner.run(batch[1]));
+  (void)stepper->ask();
+  return stepper->snapshot();
+}
+
+/// Offset of the first config id of `section` ("samples", "failures" or
+/// "pending") in `snap`.
+std::size_t first_id_at(const std::string& snap, const std::string& section) {
+  std::size_t at = snap.find("\"" + section + "\":[");
+  if (section != "pending") at = snap.find("\"id\":", at);
+  return snap.find_first_of("0123456789", at);
+}
+
+/// `snap` with the first config id of `section` replaced by `id`.
+std::string with_config_id(std::string snap, const std::string& section,
+                           std::uint64_t id) {
+  const std::size_t at = first_id_at(snap, section);
+  const std::size_t end = snap.find_first_not_of("0123456789", at);
+  return snap.replace(at, end - at, std::to_string(id));
+}
+
+/// Restores `snap` into a fresh Lynceus stepper.
+void restore_fresh(const OptimizationProblem& problem, const std::string& snap) {
+  LynceusOptimizer().make_stepper(problem, 1)->restore(snap);
+}
+
+TEST(StepperSnapshot, RestoreRejectsOutOfRangeSampleIds) {
+  const auto problem = testing::tiny_problem();
+  const std::string snap = snapshot_with_every_id_section(problem);
+  ASSERT_NO_THROW(restore_fresh(problem, snap));
+  EXPECT_THROW(restore_fresh(problem, with_config_id(snap, "samples",
+                                                     problem.space->size())),
+               std::runtime_error);
+}
+
+TEST(StepperSnapshot, RestoreRejectsOutOfRangeFailureIds) {
+  const auto problem = testing::tiny_problem();
+  const std::string snap = snapshot_with_every_id_section(problem);
+  ASSERT_NE(snap.find("\"failures\":["), std::string::npos);
+  EXPECT_THROW(restore_fresh(problem, with_config_id(snap, "failures",
+                                                     problem.space->size())),
+               std::runtime_error);
+}
+
+TEST(StepperSnapshot, RestoreRejectsOutOfRangePendingIds) {
+  const auto problem = testing::tiny_problem();
+  const std::string snap = snapshot_with_every_id_section(problem);
+  ASSERT_EQ(snap.find("\"pending\":[]"), std::string::npos);
+  EXPECT_THROW(restore_fresh(problem, with_config_id(snap, "pending",
+                                                     problem.space->size())),
+               std::runtime_error);
+}
+
+/// An id of 2^32 + k narrows to the valid config k; it must be rejected,
+/// not silently read as k.
+TEST(StepperSnapshot, RestoreRejectsIdsThatAliasAfterNarrowing) {
+  const auto problem = testing::tiny_problem();
+  const std::string snap = snapshot_with_every_id_section(problem);
+  for (const std::string section : {"samples", "failures", "pending"}) {
+    SCOPED_TRACE(section);
+    const std::uint64_t k = std::stoull(snap.substr(first_id_at(snap, section)));
+    EXPECT_THROW(restore_fresh(problem, with_config_id(
+                                            snap, section, (1ULL << 32) + k)),
+                 std::runtime_error);
+  }
 }
 
 // ---------------------------------------------------------------------------

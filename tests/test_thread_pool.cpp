@@ -4,8 +4,11 @@
 
 #include <array>
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/alloc_count.hpp"
@@ -184,6 +187,120 @@ TEST(ParallelRanges, NestsInsideParallelFor) {
   });
   for (std::size_t o = 0; o < kOuter; ++o) {
     EXPECT_EQ(total[o].load(), static_cast<int>(kInner)) << "outer " << o;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent callers: the server's shards all borrow one pool, so several
+// threads call parallel_for / parallel_ranges on it at the same time —
+// including ranges nested inside a parallel_for item. Runs under the
+// `concurrency` label (TSan leg).
+// ---------------------------------------------------------------------------
+
+/// Runs `body(c)` on `callers` threads released together.
+template <typename Body>
+void run_callers(std::size_t callers, const Body& body) {
+  std::atomic<std::size_t> arrived{0};
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < callers; ++c) {
+    threads.emplace_back([&, c] {
+      arrived.fetch_add(1);
+      while (arrived.load() < callers) std::this_thread::yield();
+      body(c);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+}
+
+TEST(ThreadPoolConcurrentCallers, EveryCallerRunsEachIndexOnce) {
+  ThreadPool pool(3);
+  constexpr std::size_t kOuter = 24;
+  constexpr std::size_t kInner = 40;
+  for (const std::size_t callers : {2U, 3U, 4U}) {
+    SCOPED_TRACE(std::to_string(callers) + " callers");
+    std::vector<std::string> failures(callers);
+    run_callers(callers, [&](std::size_t c) {
+      for (int round = 0; round < 3; ++round) {
+        // parallel_for with a nested section per item.
+        std::vector<std::atomic<int>> outer(kOuter);
+        std::vector<ThreadPool::RangeSection> sections(kOuter);
+        std::vector<std::unique_ptr<RangeLog>> inner;
+        for (std::size_t o = 0; o < kOuter; ++o) {
+          inner.push_back(std::make_unique<RangeLog>(kInner));
+        }
+        pool.parallel_for(kOuter, [&](std::size_t o) {
+          outer[o].fetch_add(1, std::memory_order_relaxed);
+          pool.parallel_ranges(sections[o], kInner, 4, &RangeLog::body,
+                               inner[o].get());
+        });
+        // A top-level section of this caller's own.
+        ThreadPool::RangeSection section;
+        RangeLog flat(kInner * 3);
+        pool.parallel_ranges(section, flat.hits.size(), 8, &RangeLog::body,
+                             &flat);
+
+        bool ok = true;
+        for (std::size_t o = 0; o < kOuter; ++o) {
+          ok = ok && outer[o].load() == 1;
+          for (const auto& h : inner[o]->hits) ok = ok && h.load() == 1;
+        }
+        for (const auto& h : flat.hits) ok = ok && h.load() == 1;
+        if (!ok) failures[c] = "round " + std::to_string(round);
+      }
+    });
+    for (std::size_t c = 0; c < callers; ++c) {
+      EXPECT_TRUE(failures[c].empty()) << "caller " << c << ": " << failures[c];
+    }
+  }
+}
+
+TEST(ThreadPoolConcurrentCallers, EachExceptionReachesItsOwnCaller) {
+  ThreadPool pool(3);
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kItems = 16;
+  // Per caller: what each of its three throwing calls rethrew.
+  std::vector<std::array<std::string, 3>> caught(kCallers);
+  struct Thrower {
+    std::string what;
+    static void body(void* ctx, std::size_t part, std::size_t, std::size_t) {
+      if (part == 1) throw std::runtime_error(static_cast<Thrower*>(ctx)->what);
+    }
+  };
+  run_callers(kCallers, [&](std::size_t c) {
+    const std::string tag = std::to_string(c);
+    try {
+      pool.parallel_for(kItems, [&](std::size_t i) {
+        if (i == c + 3) throw std::runtime_error("for " + tag);
+      });
+    } catch (const std::runtime_error& e) {
+      caught[c][0] = e.what();
+    }
+    ThreadPool::RangeSection section;
+    Thrower ranges{"ranges " + tag};
+    try {
+      pool.parallel_ranges(section, kItems, 4, &Thrower::body, &ranges);
+    } catch (const std::runtime_error& e) {
+      caught[c][1] = e.what();
+    }
+    // Thrown from a section nested in a parallel_for item: the section
+    // rethrows into the item, and parallel_for into this caller.
+    std::vector<ThreadPool::RangeSection> sections(kItems);
+    Thrower nested{"nested " + tag};
+    try {
+      pool.parallel_for(kItems, [&](std::size_t i) {
+        if (i == 5) {
+          pool.parallel_ranges(sections[i], kItems, 4, &Thrower::body, &nested);
+        }
+      });
+    } catch (const std::runtime_error& e) {
+      caught[c][2] = e.what();
+    }
+  });
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    const std::string tag = std::to_string(c);
+    EXPECT_EQ(caught[c][0], "for " + tag);
+    EXPECT_EQ(caught[c][1], "ranges " + tag);
+    EXPECT_EQ(caught[c][2], "nested " + tag);
   }
 }
 

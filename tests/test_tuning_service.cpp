@@ -133,8 +133,9 @@ TEST(TuningService, SixtyFourInterleavedSessionsMatchTheirSoloRuns) {
   const auto problem = lynceus::testing::tiny_problem();
 
   // Shared pool + shared root cache: neither may perturb any trajectory.
+  util::ThreadPool pool(2);
   TuningService::Options sopts;
-  sopts.pool_workers = 2;
+  sopts.pool = &pool;
   sopts.root_cache_capacity = 16;
   TuningService service(sopts);
   eval::AsyncTableRunner async(ds);

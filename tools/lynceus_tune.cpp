@@ -373,8 +373,9 @@ int run_sessions(const cloud::Dataset& dataset,
                  std::size_t shards) {
   service::TuningService::Options sopts;
   // Sharded, the shard threads own the parallelism; unsharded, one FIFO
-  // service fans every decision out across the shared pool.
-  if (shards == 0) sopts.pool_workers = util::default_worker_count();
+  // service fans every decision out across a pool it borrows.
+  util::ThreadPool pool(shards == 0 ? util::default_worker_count() : 0);
+  if (shards == 0) sopts.pool = &pool;
   // No shared root cache: sessions carry distinct seeds, so their root
   // states (bootstrap rows + fit seeds) never coincide and exact-key hits
   // are impossible — the cache would only burn memory here. Identical
@@ -402,7 +403,7 @@ int run_sessions(const cloud::Dataset& dataset,
                 sessions, shards);
   } else {
     std::printf("\n%zu sessions finished (shared pool: %zu workers)\n",
-                sessions, sopts.pool_workers);
+                sessions, pool.worker_count());
   }
   for (std::size_t i = 0; i < sessions; ++i) {
     const service::TuningService& svc = svcs[i % k];
@@ -438,10 +439,10 @@ int run_serve(std::uint16_t port, std::size_t shards,
       : wire == net::TuningServer::WirePolicy::kBinaryOnly ? "binary"
                                                            : "negotiate";
   std::printf(
-      "serving on 127.0.0.1:%u (%zu shards, %zu pool workers per shard, "
+      "serving on 127.0.0.1:%u (%zu shards sharing %zu pool workers, "
       "wire %s) — EOF on stdin stops\n",
-      static_cast<unsigned>(server.port()), shards,
-      server.shard_pool_workers(), wire_desc);
+      static_cast<unsigned>(server.port()), shards, server.pool_workers(),
+      wire_desc);
   std::fflush(stdout);
   int c;
   while ((c = std::fgetc(stdin)) != EOF) {
