@@ -1,6 +1,7 @@
 #include "net/binary_codec.hpp"
 
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 
 #include "util/json.hpp"
@@ -240,8 +241,10 @@ std::string spec_json(const service::SessionSpec& spec) {
   return w.str();
 }
 
-service::SessionSpec spec_from_bytes(const std::string& doc) {
-  return service::SessionSpec::from_json(util::parse_json(doc));
+std::shared_ptr<const service::SessionSpec> spec_from_bytes(
+    const std::string& doc) {
+  return std::make_shared<const service::SessionSpec>(
+      service::SessionSpec::from_json(util::parse_json(doc)));
 }
 
 }  // namespace

@@ -111,11 +111,13 @@ Request parse_request(const std::string& payload) {
   } else if (type == "open") {
     r.type = Request::Type::Open;
     r.req = req_of(v);
-    r.spec = service::SessionSpec::from_json(v.at("spec"));
+    r.spec = std::make_shared<const service::SessionSpec>(
+        service::SessionSpec::from_json(v.at("spec")));
   } else if (type == "restore") {
     r.type = Request::Type::Restore;
     r.req = req_of(v);
-    r.spec = service::SessionSpec::from_json(v.at("spec"));
+    r.spec = std::make_shared<const service::SessionSpec>(
+        service::SessionSpec::from_json(v.at("spec")));
     r.snapshot = v.at("snapshot").as_string();
   } else if (type == "tell") {
     r.type = Request::Type::Tell;

@@ -153,6 +153,7 @@
 /// determinism contract in tuning_server.hpp rests on this.
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -233,7 +234,11 @@ struct Request {
   std::uint64_t session = 0;       ///< tell / snapshot / result / close
   core::ConfigId config = 0;       ///< tell
   core::RunResult result;          ///< tell
-  service::SessionSpec spec;       ///< open / restore
+  /// open / restore (both decoders always set it); null for every other
+  /// type. Held by pointer so a default-constructed Request (an SPSC lane
+  /// cell, a decoded tell) builds no SessionSpec — whose defaults read the
+  /// environment — and a copy (the NextRuns broadcast) stays cheap.
+  std::shared_ptr<const service::SessionSpec> spec;
   std::string snapshot;            ///< restore
   // hello (always JSON — negotiation precedes any binary frame)
   std::uint64_t version = 0;

@@ -37,6 +37,26 @@ std::string bundled_key(const std::string& suite, const std::string& job,
   return suite + '\n' + job + '\n' + w.str();
 }
 
+/// One bundled evaluation suite: its canonical name (the key of the
+/// server's suite cache) and the deterministic builder of its datasets.
+struct BundledSuite {
+  const char* name;
+  std::vector<cloud::Dataset> (*build)(std::uint64_t noise_seed);
+};
+
+/// The bundled suite a ProblemRef names, or null. "tensorflow" is an
+/// alias of "tf", so both spellings share one cached suite.
+const BundledSuite* bundled_suite(const std::string& name) {
+  static const BundledSuite kTf{"tf", &cloud::make_tensorflow_datasets};
+  static const BundledSuite kScout{"scout", &cloud::make_scout_datasets};
+  static const BundledSuite kCherryPick{"cherrypick",
+                                        &cloud::make_cherrypick_datasets};
+  if (name == "tf" || name == "tensorflow") return &kTf;
+  if (name == "scout") return &kScout;
+  if (name == "cherrypick") return &kCherryPick;
+  return nullptr;
+}
+
 }  // namespace
 
 TuningServer::TuningServer() : TuningServer(Options{}) {}
@@ -163,22 +183,23 @@ const core::OptimizationProblem* TuningServer::resolve_problem(
     throw std::invalid_argument("unknown problem '" + ref.suite + "/" +
                                 ref.job + "' (bundled workloads disabled)");
   }
-  const std::string key = bundled_key(ref.suite, ref.job, ref.budget_multiplier);
+  const BundledSuite* suite = bundled_suite(ref.suite);
+  if (suite == nullptr) {
+    throw std::invalid_argument("unknown workload suite '" + ref.suite + "'");
+  }
+  const std::string key =
+      bundled_key(suite->name, ref.job, ref.budget_multiplier);
   it = problems_.find(key);
   if (it != problems_.end()) {
     return it->second.get();
   }
-  std::vector<cloud::Dataset> datasets;
-  if (ref.suite == "tf" || ref.suite == "tensorflow") {
-    datasets = cloud::make_tensorflow_datasets();
-  } else if (ref.suite == "scout") {
-    datasets = cloud::make_scout_datasets();
-  } else if (ref.suite == "cherrypick") {
-    datasets = cloud::make_cherrypick_datasets();
-  } else {
-    throw std::invalid_argument("unknown workload suite '" + ref.suite + "'");
+  // Each suite is built once; every (job, budget) problem is made from
+  // the cached datasets.
+  auto cached = suites_.find(suite->name);
+  if (cached == suites_.end()) {
+    cached = suites_.emplace(suite->name, suite->build(0)).first;
   }
-  for (const cloud::Dataset& ds : datasets) {
+  for (const cloud::Dataset& ds : cached->second) {
     if (ds.job_name() == ref.job) {
       auto built = std::make_unique<core::OptimizationProblem>(
           eval::make_problem(ds, ref.budget_multiplier));
@@ -709,7 +730,7 @@ void TuningServer::shard_loop(std::size_t s) {
       case Request::Type::Open:
       case Request::Type::Restore: {
         try {
-          service::SessionSpec spec = req.spec;
+          service::SessionSpec spec = *req.spec;
           spec.problem = resolve_problem(spec);
           const service::SessionId local =
               req.type == Request::Type::Open

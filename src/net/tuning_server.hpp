@@ -23,7 +23,10 @@
 ///     plus a wakeup fd, splits byte streams into frames, parses each
 ///     frame into a typed Request (JSON or negotiated binary —
 ///     net/protocol.hpp, net/binary_codec.hpp), and pushes it down a
-///     transport→shard lane — never touching optimizer state. One
+///     transport→shard lane — never touching optimizer state. A lane
+///     cell carries an open/restore's SessionSpec by pointer, so the
+///     K·K lanes of lane_capacity cells each are built without
+///     constructing a single spec, and a tell moves no spec. One
 ///     transport thread multiplexes hundreds to thousands of
 ///     connections; read buffers and frame scratch are reused so
 ///     steady-state framing is allocation-free. Completions (encoded
@@ -34,7 +37,9 @@
 ///     the service loops never see it.
 ///   * **K service-loop threads** each own one `service::TuningService`
 ///     (FIFO event loop, per-shard RootCache): pop requests round-robin
-///     across the transport lanes, apply them, sweep `next_runs()`, and
+///     across the transport lanes, apply them (an open resolves its
+///     problem from the server's registry, where each bundled suite is
+///     built once and shared by every shard), sweep `next_runs()`, and
 ///     push replies + server-initiated `run` frames back to the
 ///     transports. The server itself executes no profiling runs — remote
 ///     drivers own their clusters (or replay tables) and tell results
@@ -98,6 +103,7 @@
 #include <thread>
 #include <vector>
 
+#include "cloud/dataset.hpp"
 #include "core/types.hpp"
 #include "net/event_loop.hpp"
 #include "net/protocol.hpp"
@@ -141,8 +147,10 @@ class TuningServer {
     /// read interest (see "Backpressure" above) instead of blocking.
     std::size_t lane_capacity = 1024;
     /// Resolve `problem_ref`s naming the bundled evaluation suites
-    /// ("tf" | "scout" | "cherrypick") by building the replay dataset on
-    /// first use. Off = only problems injected via register_problem().
+    /// ("tf" or "tensorflow" | "scout" | "cherrypick"). Each suite's
+    /// datasets are built once, on the suite's first use, and every
+    /// (job, budget) problem is made from them. Off = only problems
+    /// injected via register_problem().
     bool bundled_workloads = true;
     /// Encodings the hello handshake may pick (default: both).
     WirePolicy wire = WirePolicy::kNegotiate;
@@ -225,6 +233,11 @@ class TuningServer {
     std::uint64_t global_session = 0;
     Request request;
   };
+  /// Every request lane default-constructs lane_capacity of these cells
+  /// up front: keep bulky fields (a SessionSpec is 328 bytes) behind
+  /// pointers. 192 bytes on LP64 libstdc++.
+  static_assert(sizeof(ShardRequest) <= 192,
+                "request lane cell grew: keep bulky fields behind pointers");
 
   /// One encoded reply (or pushed run) on a shard→transport lane.
   struct TransportReply {
@@ -267,10 +280,16 @@ class TuningServer {
   /// Park events per request lane, flattened [t * shards + s].
   std::unique_ptr<std::atomic<std::size_t>[]> lane_stalls_;
 
+  /// Guards problems_ and suites_; shards resolve under it.
   mutable std::mutex problems_mutex_;
   /// Stable-address problem storage, keyed "suite\njob" (registered) or
-  /// "suite\njob\nb" (bundled, built on first use).
+  /// "suite\njob\nb" (bundled: canonical suite name, made on first use
+  /// from the suite's cached datasets).
   std::map<std::string, std::unique_ptr<core::OptimizationProblem>> problems_;
+  /// Each bundled suite's datasets, keyed by canonical suite name ("tf"
+  /// also serves "tensorflow"), built once on the suite's first use: N
+  /// distinct jobs of one suite cost one suite build, not N.
+  std::map<std::string, std::vector<cloud::Dataset>> suites_;
 
   std::unique_ptr<std::atomic<std::size_t>[]> shard_opened_;
   std::vector<std::thread> threads_;

@@ -10,6 +10,26 @@
 
 namespace lynceus::service {
 
+namespace {
+
+/// A service-session envelope's config id, range-checked against the
+/// space *before* it is narrowed to ConfigId: a client-written id of
+/// 2^32 + k would otherwise alias config k.
+core::ConfigId envelope_config_id(const util::JsonValue& v,
+                                  std::size_t space_rows,
+                                  const char* section) {
+  const std::uint64_t id = v.as_uint();
+  if (id >= space_rows) {
+    throw std::runtime_error(std::string("TuningService::restore: policy ") +
+                             section + " config id " + std::to_string(id) +
+                             " is outside the " + std::to_string(space_rows) +
+                             "-row configuration space");
+  }
+  return static_cast<core::ConfigId>(id);
+}
+
+}  // namespace
+
 TuningService::TuningService() : TuningService(Options{}) {}
 
 TuningService::TuningService(Options options) : options_(std::move(options)) {
@@ -354,23 +374,35 @@ SessionId TuningService::restore(
       throw std::runtime_error(
           "TuningService::restore: unsupported service-session version");
     }
+    // Parse and validate the whole envelope before registering, so a
+    // malformed one throws with no half-restored session left behind.
     stepper->restore(v.at("stepper").as_string());
-    const SessionId id = register_session(std::move(stepper));
-    Session& s = sessions_[id];
+    const std::size_t rows = stepper->problem().space->size();
     const util::JsonValue& policy = v.at("policy");
-    s.consecutive_failures =
+    const auto consecutive_failures =
         static_cast<std::size_t>(policy.at("consecutive_failures").as_uint());
-    s.quarantined = policy.at("quarantined").as_bool();
+    const bool quarantined = policy.at("quarantined").as_bool();
+    std::unordered_map<core::ConfigId, std::uint64_t> attempts;
     for (const util::JsonValue& a : policy.at("attempts").items()) {
-      s.attempts[static_cast<core::ConfigId>(a.at("config").as_uint())] =
+      attempts[envelope_config_id(a.at("config"), rows, "attempts")] =
           a.at("count").as_uint();
     }
+    std::vector<RetryRun> retries;
     for (const util::JsonValue& r : policy.at("retries").items()) {
       RetryRun retry;
-      retry.session = id;
-      retry.config = static_cast<core::ConfigId>(r.at("config").as_uint());
+      retry.config = envelope_config_id(r.at("config"), rows, "retries");
       retry.attempt = r.at("attempt").as_uint();
       retry.start_delay = r.at("delay").as_double();
+      retries.push_back(retry);
+    }
+
+    const SessionId id = register_session(std::move(stepper));
+    Session& s = sessions_[id];
+    s.consecutive_failures = consecutive_failures;
+    s.quarantined = quarantined;
+    s.attempts = std::move(attempts);
+    for (RetryRun& retry : retries) {
+      retry.session = id;
       retry_queue_.push_back(retry);
       s.retry_pending.insert(retry.config);
     }

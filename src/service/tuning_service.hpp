@@ -262,7 +262,9 @@ class TuningService {
   /// preferred). Accepts both a bare stepper snapshot and a
   /// snapshot_session() envelope (the latter also re-schedules queued
   /// retries and restores the policy state). The restored session
-  /// re-enters the ready queue unless finished.
+  /// re-enters the ready queue unless finished. The whole snapshot is
+  /// parsed and validated first (every config id range-checked against
+  /// the space): a malformed one throws and registers no session.
   SessionId restore(std::unique_ptr<core::OptimizerStepper> stepper,
                     const std::string& snapshot_json);
 

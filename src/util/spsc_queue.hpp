@@ -160,16 +160,18 @@ class SpscQueue {
 
 /// One fair pass of a consumer over `lanes` queues: pops at most one item
 /// from each lane, in index order, and hands it to `serve`. `lane_at(i)`
-/// returns the i-th queue. Returns whether any lane had an item. Called
-/// until it returns false, it serves pre-filled lanes alternately, so a
-/// saturated lane cannot starve the others, and each lane stays FIFO.
+/// returns the i-th queue; every lane holds the same value type. Returns
+/// whether any lane had an item. Called until it returns false, it serves
+/// pre-filled lanes alternately, so a saturated lane cannot starve the
+/// others, and each lane stays FIFO. The pass constructs one pop target,
+/// whatever the lane count, so an idle pass costs one default value.
 template <typename LaneAt, typename Serve>
 bool serve_round_robin(std::size_t lanes, LaneAt&& lane_at, Serve&& serve) {
+  typename std::remove_reference_t<decltype(lane_at(std::size_t{0}))>::
+      value_type item;
   bool any = false;
   for (std::size_t i = 0; i < lanes; ++i) {
-    auto& lane = lane_at(i);
-    typename std::remove_reference_t<decltype(lane)>::value_type item;
-    if (lane.try_pop(item)) {
+    if (lane_at(i).try_pop(item)) {
       any = true;
       serve(item);
     }

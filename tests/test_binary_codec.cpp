@@ -50,14 +50,16 @@ TEST(BinaryCodec, EveryRequestTypeRoundTrips) {
     const Request r = parse_binary_request(binary_encode_open(7, spec));
     EXPECT_EQ(r.type, Request::Type::Open);
     EXPECT_EQ(r.req, 7U);
-    EXPECT_EQ(r.spec.to_json(), spec.to_json());
+    ASSERT_NE(r.spec, nullptr);
+    EXPECT_EQ(r.spec->to_json(), spec.to_json());
   }
   {
     const Request r = parse_binary_request(
         binary_encode_restore(8, spec, "{\"snapshot\":true}"));
     EXPECT_EQ(r.type, Request::Type::Restore);
     EXPECT_EQ(r.req, 8U);
-    EXPECT_EQ(r.spec.to_json(), spec.to_json());
+    ASSERT_NE(r.spec, nullptr);
+    EXPECT_EQ(r.spec->to_json(), spec.to_json());
     EXPECT_EQ(r.snapshot, "{\"snapshot\":true}");
   }
   {
@@ -68,6 +70,7 @@ TEST(BinaryCodec, EveryRequestTypeRoundTrips) {
     EXPECT_EQ(r.req, 9U);
     EXPECT_EQ(r.session, 1234567U);
     EXPECT_EQ(r.config, 21U);
+    EXPECT_EQ(r.spec, nullptr);  // only open/restore carry a spec
     // Bit-exact doubles: memcmp-level equality, sign of -0.0 included.
     EXPECT_EQ(r.result.runtime_seconds, rr.runtime_seconds);
     EXPECT_EQ(r.result.cost, rr.cost);
@@ -200,11 +203,15 @@ TEST(BinaryCodec, BinaryAndJsonDecodeToIdenticalMessages) {
   EXPECT_EQ(a.result.cost, b.result.cost);
   EXPECT_EQ(a.result.outcome, b.result.outcome);
   EXPECT_EQ(a.result.metrics, b.result.metrics);
+  EXPECT_EQ(a.spec, nullptr);
+  EXPECT_EQ(b.spec, nullptr);
 
   const service::SessionSpec spec = demo_spec();
   const Request c = parse_request(encode_open(1, spec));
   const Request d = parse_binary_request(binary_encode_open(1, spec));
-  EXPECT_EQ(c.spec.to_json(), d.spec.to_json());
+  ASSERT_NE(c.spec, nullptr);
+  ASSERT_NE(d.spec, nullptr);
+  EXPECT_EQ(c.spec->to_json(), d.spec->to_json());
 }
 
 /// Binary framing is also smaller — the point of negotiating it. Pin the

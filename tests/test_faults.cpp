@@ -637,5 +637,84 @@ TEST(FaultReplay, SessionEnvelopeRoundTripsRetriesAndQuarantine) {
   EXPECT_TRUE(qrevived.next_runs().empty());
 }
 
+// ---------------------------------------------------------------------------
+// Service-session envelopes are a trust boundary (they arrive over the
+// wire in `restore` frames): a malformed one throws and registers nothing.
+
+/// An envelope with one attempt counter and one queued retry, both for
+/// `config`.
+std::string envelope_with_retry(ConfigId& config) {
+  TuningService::Options sopts;
+  sopts.run_policy.max_attempts = 3;
+  TuningService service(sopts);
+  const auto problem = lynceus::testing::tiny_problem();
+  const SessionId id = service.open_session(SessionSpec::random(problem, 8));
+  config = service.next_runs().at(0).config;
+  RunResult failed;
+  failed.outcome = RunOutcome::kFailed;
+  failed.cost = 0.01;
+  service.tell(id, config, failed);  // attempts[config] = 1, retry queued
+  return service.snapshot_session(id);
+}
+
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << "no '" << from << "' in envelope";
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+/// Restores `envelope` into a fresh service: it must throw and leave the
+/// service without a session.
+void expect_rejected(const std::string& envelope) {
+  const auto problem = lynceus::testing::tiny_problem();
+  TuningService service;
+  EXPECT_ANY_THROW(service.restore(
+      core::RandomSearch().make_stepper(problem, 8), envelope));
+  EXPECT_EQ(service.session_count(), 0U);
+  EXPECT_TRUE(service.next_runs().empty());
+}
+
+TEST(FaultReplay, EnvelopeAttemptIdOutsideTheSpaceIsRejected) {
+  ConfigId config = 0;
+  const std::string envelope = envelope_with_retry(config);
+  const std::string rows =
+      std::to_string(lynceus::testing::tiny_space()->size());
+  expect_rejected(replaced(
+      envelope, "\"attempts\":[{\"config\":" + std::to_string(config),
+      "\"attempts\":[{\"config\":" + rows));
+}
+
+TEST(FaultReplay, EnvelopeRetryIdOutsideTheSpaceIsRejected) {
+  ConfigId config = 0;
+  const std::string envelope = envelope_with_retry(config);
+  const std::string rows =
+      std::to_string(lynceus::testing::tiny_space()->size());
+  expect_rejected(replaced(
+      envelope, "\"retries\":[{\"config\":" + std::to_string(config),
+      "\"retries\":[{\"config\":" + rows));
+}
+
+/// 2^32 + k narrowed to a 32-bit ConfigId would silently become config k.
+TEST(FaultReplay, EnvelopeIdPastTwoToTheThirtyTwoDoesNotAliasAConfig) {
+  ConfigId config = 0;
+  const std::string envelope = envelope_with_retry(config);
+  const std::string aliased =
+      std::to_string((std::uint64_t{1} << 32) + config);
+  expect_rejected(replaced(
+      envelope, "\"retries\":[{\"config\":" + std::to_string(config),
+      "\"retries\":[{\"config\":" + aliased));
+  expect_rejected(replaced(
+      envelope, "\"attempts\":[{\"config\":" + std::to_string(config),
+      "\"attempts\":[{\"config\":" + aliased));
+}
+
+TEST(FaultReplay, EnvelopeMissingPolicyKeyRegistersNoSession) {
+  ConfigId config = 0;
+  const std::string envelope = envelope_with_retry(config);
+  expect_rejected(replaced(envelope, "\"quarantined\":false,", ""));
+}
+
 }  // namespace
 }  // namespace lynceus

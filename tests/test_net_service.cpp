@@ -12,9 +12,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -246,6 +248,105 @@ TEST(NetService, SharedPoolLookaheadSessionsOnBothShardsMatchTheirSoloRuns) {
       expect_identical(remote[c][i], golden);
     }
   }
+}
+
+/// The server's bundled-problem registry: two connections at once open a
+/// session for every job of every bundled suite at two budget
+/// multipliers, spelling TF both "tf" and "tensorflow" (one cached suite
+/// serves both). Every session must match its solo in-process run over
+/// eval::make_problem of a separately built dataset.
+TEST(NetService, EveryBundledJobAtTwoBudgetsMatchesItsSoloRun) {
+  struct Suite {
+    std::string name;
+    std::vector<cloud::Dataset> datasets;
+  };
+  const std::vector<Suite> suites = {
+      {"tf", cloud::make_tensorflow_datasets()},
+      {"tensorflow", cloud::make_tensorflow_datasets()},
+      {"scout", cloud::make_scout_datasets()},
+      {"cherrypick", cloud::make_cherrypick_datasets()}};
+  struct Job {
+    const cloud::Dataset* ds = nullptr;
+    service::SessionSpec spec;
+  };
+  std::vector<Job> jobs;
+  for (const double b : {1.0, 3.0}) {
+    for (const Suite& suite : suites) {
+      for (const cloud::Dataset& ds : suite.datasets) {
+        Job job;
+        job.ds = &ds;
+        job.spec.optimizer = "lynceus";
+        job.spec.seed = 1 + jobs.size();
+        job.spec.problem_ref = {suite.name, ds.job_name(), b};
+        job.spec.lookahead = 0;
+        job.spec.incremental_refit = false;
+        job.spec.branch_parallel = false;
+        jobs.push_back(std::move(job));
+      }
+    }
+  }
+  ASSERT_EQ(jobs.size(), 2U * (3 + 3 + 18 + 5));
+
+  TuningServer::Options opts;
+  opts.shards = 2;
+  opts.root_cache_capacity = 8;
+  TuningServer server(opts);
+
+  constexpr std::size_t kClients = 2;
+  std::vector<OptimizerResult> remote(jobs.size());
+  std::vector<std::string> errors(kClients);
+  std::vector<std::thread> drivers;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    drivers.emplace_back([&, c] {
+      try {
+        TuningClient client("127.0.0.1", server.port());
+        // Wire id → (job index, that session's replay runner).
+        std::map<std::uint64_t, std::pair<std::size_t, eval::TableRunner>>
+            open;
+        for (std::size_t j = c; j < jobs.size(); j += kClients) {
+          open.emplace(client.open(jobs[j].spec),
+                       std::make_pair(j, eval::TableRunner(*jobs[j].ds)));
+        }
+        // Runs are told in push order, i.e. each batch in batch order —
+        // exactly core::drive's order.
+        while (!client.active_sessions().empty()) {
+          const std::optional<service::PendingRun> run =
+              client.take_run(/*wait=*/true);
+          eval::TableRunner& runner = open.at(run->session).second;
+          client.tell(run->session, run->config, runner.run(run->config));
+        }
+        for (const auto& [id, entry] : open) {
+          const TuningClient::ResultReply reply = client.result(id);
+          if (!reply.finished) {
+            throw std::runtime_error("session " + std::to_string(id) +
+                                     " not finished");
+          }
+          remote[entry.first] = reply.result;
+        }
+      } catch (const std::exception& e) {
+        errors[c] = e.what();
+      }
+    });
+  }
+  for (std::thread& t : drivers) t.join();
+  for (std::size_t c = 0; c < kClients; ++c) {
+    ASSERT_TRUE(errors[c].empty()) << "client " << c << ": " << errors[c];
+  }
+
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const service::ProblemRef& ref = jobs[j].spec.problem_ref;
+    SCOPED_TRACE(ref.suite + "/" + ref.job + " b=" +
+                 std::to_string(ref.budget_multiplier));
+    const core::OptimizationProblem problem =
+        eval::make_problem(*jobs[j].ds, ref.budget_multiplier);
+    service::SessionSpec spec = jobs[j].spec;
+    spec.problem = &problem;
+    eval::TableRunner solo(*jobs[j].ds);
+    auto stepper = spec.make_stepper(nullptr, nullptr);
+    expect_identical(remote[j], core::drive(*stepper, solo));
+  }
+  const std::vector<std::size_t> counts = server.shard_session_counts();
+  EXPECT_EQ(counts[0] + counts[1], jobs.size());
 }
 
 /// All four optimizer kinds over the wire on one connection — exercises

@@ -144,5 +144,38 @@ TEST(SpscQueue, RoundRobinServesPreFilledLanesAlternately) {
   EXPECT_FALSE(serve_round_robin(lanes.size(), lane_at, serve));
 }
 
+/// Counts default constructions (the pop targets a consumer builds).
+struct Counted {
+  static inline int constructed = 0;
+  int value = 0;
+  Counted() { ++constructed; }
+};
+
+/// An idle pass over many lanes builds one pop target, not one per lane —
+/// a shard's idle spin passes construct one lane value each.
+TEST(SpscQueue, RoundRobinPassConstructsOnePopTarget) {
+  std::vector<std::unique_ptr<SpscQueue<Counted>>> lanes;
+  for (int l = 0; l < 4; ++l) {
+    lanes.push_back(std::make_unique<SpscQueue<Counted>>(2));
+  }
+  const auto lane_at = [&](std::size_t l) -> SpscQueue<Counted>& {
+    return *lanes[l];
+  };
+  int served = 0;
+  const auto serve = [&](const Counted&) { ++served; };
+
+  Counted::constructed = 0;
+  EXPECT_FALSE(serve_round_robin(lanes.size(), lane_at, serve));
+  EXPECT_EQ(Counted::constructed, 1);
+
+  Counted c;
+  ASSERT_TRUE(lanes[1]->try_push(std::move(c)));
+  ASSERT_TRUE(lanes[3]->try_push(std::move(c)));
+  Counted::constructed = 0;
+  EXPECT_TRUE(serve_round_robin(lanes.size(), lane_at, serve));
+  EXPECT_EQ(Counted::constructed, 1);
+  EXPECT_EQ(served, 2);
+}
+
 }  // namespace
 }  // namespace lynceus::util
