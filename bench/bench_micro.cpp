@@ -347,7 +347,7 @@ struct McDecisionFixture {
   }
 };
 
-/// One full decision on the engine: root fits (or cache hit), Γ filter,
+/// One full decision on the engine: root fits, Γ filter,
 /// one simulated joint-speculation path per viable root.
 double mc_engine_decision(McDecisionFixture& fx,
                           core::MultiConstraintEngine& engine,
@@ -557,9 +557,10 @@ McStats measure_mc_decision(int space_idx, unsigned la, std::size_t reps,
   return s;
 }
 
-/// Root-cache reuse: the p50 of re-running the *same* decision (identical
-/// root state and fit seed), which hits the cache and skips the root fit +
-/// full-space prediction. Also reports the observed hit count.
+/// Decision-cache reuse: the p50 of re-running the *same* decision
+/// (a fresh stepper reaching an identical state), which hits the cache
+/// and skips the root fit, the predictions and every path simulation.
+/// Also reports the observed hit count.
 struct CachedStats {
   double p50_ms = 0.0;
   std::uint64_t cache_hits = 0;
@@ -569,35 +570,27 @@ CachedStats measure_cached_decision(int space_idx, unsigned la,
                                     std::size_t reps) {
   const auto ds = decision_dataset(space_idx);
   const auto problem = eval::make_problem(ds, 3.0);
-  eval::TableRunner runner(ds);
-  core::LoopState st(problem, runner, 5);
-  st.bootstrap();
   core::RootCache cache;
-  core::LookaheadEngine::Options opts;
+  core::LynceusOptions opts;
   opts.lookahead = la;
+  opts.screen_width = 24;
   opts.root_cache = &cache;
-  core::LookaheadEngine engine(problem, opts,
-                               core::default_tree_model_factory(*problem.space),
-                               1);
-  std::vector<core::ConfigId> roots;
+  const core::LynceusOptimizer lyn(opts);
   std::vector<double> ms;
   ms.reserve(reps);
   for (std::size_t rep = 0; rep <= reps; ++rep) {  // rep 0 warms the cache
+    auto stepper = lyn.make_stepper(problem, 5);
+    eval::TableRunner runner(ds);
+    const std::vector<core::ConfigId> batch = stepper->ask().configs;
+    for (core::ConfigId id : batch) stepper->tell(id, runner.run(id));
     const auto t0 = std::chrono::steady_clock::now();
-    engine.begin_decision(st.samples, st.budget.remaining(),
-                          util::derive_seed(5, 1));
-    engine.screened_roots(24, roots);
-    double acc = 0.0;
-    for (core::ConfigId r : roots) {
-      acc += engine.simulate(r, util::derive_seed(5, 1000003ULL + r)).cost;
-    }
-    benchmark::DoNotOptimize(acc);
+    benchmark::DoNotOptimize(stepper->ask().configs.front());
     const auto t1 = std::chrono::steady_clock::now();
     if (rep == 0) continue;
     ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
   std::sort(ms.begin(), ms.end());
-  return {percentile(ms, 0.50), engine.cache_stats().hits};
+  return {percentile(ms, 0.50), cache.stats().hits};
 }
 
 /// Pooled decision: identical work to measure_decision but with the root
@@ -702,11 +695,11 @@ double measure_scaling_decision(int space_idx, unsigned la, std::size_t reps,
 }
 
 /// TuningService throughput: N concurrent Lynceus sessions of one
-/// recurrent job (same seed — the warm-start scenario the shared RootCache
+/// recurrent job (same seed — the scenario the shared decision cache
 /// exists for) drained end-to-end against the simulated-async replay
 /// runner. Reports decision throughput: total decisions across all
-/// sessions over the wall-clock of the whole drain, with the root cache
-/// shared across sessions or per-session. Per-session trajectories are
+/// sessions over the wall-clock of the whole drain, with the decision
+/// cache shared across sessions or per-session. Per-session trajectories are
 /// bit-identical in every mode (ask/tell + cache determinism contracts),
 /// so the numbers compare directly.
 struct SessionThroughputStats {
@@ -743,7 +736,7 @@ SessionThroughputStats measure_session_throughput(std::size_t sessions,
     service::TuningService::Options sopts;
     sopts.root_cache_capacity = shared_cache ? 16 : 0;
     // Per-session caches in the unshared mode: every session still gets
-    // root-cache machinery, just no cross-session reuse. Declared before
+    // the cache machinery, just no cross-session reuse. Declared before
     // the service so the caches outlive the steppers pointing at them
     // (the make_stepper lifetime contract).
     std::vector<std::unique_ptr<core::RootCache>> own_caches;
@@ -1193,7 +1186,7 @@ bool write_json_summary(const std::string& path,
   w.end_array();
   }
 
-  // Root-cache reuse of a repeated decision, plus the hit counters.
+  // Decision-cache reuse of a repeated decision, plus the hit counters.
   if (want("cached_decision")) {
   w.key("cached_decision").begin_array();
   for (unsigned la = 0; la <= 1; ++la) {

@@ -6,9 +6,10 @@
 /// service" section of README.md:
 ///   1. N concurrent sessions — each described by one declarative
 ///      service::SessionSpec and opened via open_session() — over a
-///      shared thread pool + root cache, fed by asynchronously completing
-///      runs (simulated here by AsyncTableRunner; a real deployment would
-///      launch cloud jobs and tell() results as they land);
+///      shared thread pool + decision cache, fed by asynchronously
+///      completing runs (simulated here by AsyncTableRunner; a real
+///      deployment would launch cloud jobs and tell() results as they
+///      land);
 ///   2. out-of-order completions — cheap runs overtake expensive ones —
 ///      without perturbing any session's trajectory;
 ///   3. snapshot/restore: a session is frozen mid-run to JSON, revived in
@@ -30,7 +31,7 @@ int main() {
   using namespace lynceus;
 
   // The jobs: every Scout workload, tuned concurrently — one session per
-  // job, all sharing one pool and one root cache.
+  // job, all sharing one pool and one decision cache.
   const auto datasets = cloud::make_scout_datasets();
   std::vector<core::OptimizationProblem> problems;
   problems.reserve(datasets.size());

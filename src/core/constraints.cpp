@@ -77,6 +77,12 @@ class MultiConstraintStepper final : public OptimizerStepper {
           "metrics and are not supported");
     }
     st_.blacklist_failed = options_.blacklist_failed;
+    // A function cannot be keyed: a custom model factory bypasses the
+    // cache (the thresholds are keyed by value, per configuration).
+    if (options_.root_cache != nullptr && !options_.model_factory) {
+      cache_ = options_.root_cache;
+      key_.set_context(key_context(constraints_, options_, problem));
+    }
   }
 
   [[nodiscard]] std::string name() const override {
@@ -104,6 +110,20 @@ class MultiConstraintStepper final : public OptimizerStepper {
         y_metric_[c].push_back(metrics_[i][constraints_[c].metric_index]);
       }
       feasible_.push_back(sample_feasible(i) ? 1 : 0);
+    }
+
+    if (cache_ != nullptr) {
+      key_.begin_state(seed_, iteration_, st_.budget.remaining(), st_.samples,
+                       st_.failures);
+      for (const auto& per_constraint : y_metric_) {
+        for (double m : per_constraint) key_.put(m);
+      }
+      DecisionEvent hit;
+      if (cache_->lookup(key_, hit)) {
+        timer_.stop();
+        if (observer_ != nullptr) observer_->on_decision(hit);
+        return hit.chosen;
+      }
     }
 
     engine_.begin_decision(rows_, y_cost_, y_metric_, feasible_,
@@ -154,18 +174,17 @@ class MultiConstraintStepper final : public OptimizerStepper {
     }
     timer_.stop();
 
-    if (observer_ != nullptr) {
-      DecisionEvent event;
-      event.iteration = static_cast<std::size_t>(iteration_);
-      event.viable_count = roots.size();
-      event.simulated_roots = roots.size();
-      event.chosen = best_id;
-      event.predicted_cost = engine_.root_cost_predictions()[best_id].mean;
-      event.incumbent = engine_.incumbent();
-      event.remaining_budget = st_.budget.remaining();
-      event.best_ratio = best_ratio;
-      observer_->on_decision(event);
-    }
+    DecisionEvent event;
+    event.iteration = static_cast<std::size_t>(iteration_);
+    event.chosen = best_id;
+    event.viable_count = roots.size();
+    event.simulated_roots = roots.size();
+    event.predicted_cost = engine_.root_cost_predictions()[best_id].mean;
+    event.incumbent = engine_.incumbent();
+    event.best_ratio = best_ratio;
+    event.remaining_budget = st_.budget.remaining();
+    if (cache_ != nullptr) cache_->store(key_, event);
+    if (observer_ != nullptr) observer_->on_decision(event);
     return best_id;
   }
 
@@ -211,6 +230,31 @@ class MultiConstraintStepper final : public OptimizerStepper {
   }
 
  private:
+  /// The per-stepper part of the decision key (see RootCache): the
+  /// problem, every trajectory-changing option and each constraint's
+  /// metric index and per-configuration threshold.
+  static std::string key_context(const std::vector<ConstraintDef>& constraints,
+                                 const MultiConstraintOptions& o,
+                                 const OptimizationProblem& problem) {
+    std::string c = "multi_constraint";
+    RootCache::Key::append_problem(c, problem);
+    RootCache::Key::append(c, o.lookahead);
+    RootCache::Key::append(c, o.gh_points);
+    RootCache::Key::append(c, o.gamma);
+    RootCache::Key::append(c, o.feasibility_quantile);
+    RootCache::Key::append(c, o.prune_weight);
+    RootCache::Key::append(c, o.incremental_refit);
+    RootCache::Key::append(c, o.blacklist_failed);
+    RootCache::Key::append(c, constraints.size());
+    for (const ConstraintDef& def : constraints) {
+      RootCache::Key::append(c, def.metric_index);
+      for (ConfigId id = 0; id < problem.space->size(); ++id) {
+        RootCache::Key::append(c, def.threshold(id));
+      }
+    }
+    return c;
+  }
+
   static MultiConstraintEngine::Options engine_options(
       const std::vector<ConstraintDef>& constraints,
       const MultiConstraintOptions& options) {
@@ -222,7 +266,6 @@ class MultiConstraintStepper final : public OptimizerStepper {
     eopts.prune_weight = options.prune_weight;
     eopts.thresholds.reserve(constraints.size());
     for (const auto& c : constraints) eopts.thresholds.push_back(c.threshold);
-    eopts.root_cache = options.root_cache;
     eopts.incremental_refit = options.incremental_refit;
     eopts.branch_pool = options.branch_parallel ? options.pool : nullptr;
     return eopts;
@@ -251,6 +294,8 @@ class MultiConstraintStepper final : public OptimizerStepper {
   const std::uint64_t seed_;
   const model::ModelFactory factory_;
   MultiConstraintEngine engine_;
+  RootCache* cache_ = nullptr;  ///< null when off or bypassed
+  RootCache::Key key_;
   std::uint64_t iteration_ = 0;
   std::vector<std::vector<double>> metrics_;  ///< per-sample metric vectors
   std::vector<std::uint32_t> rows_;

@@ -94,8 +94,12 @@ struct MultiConstraintOptions {
   /// worker-less. Defaults to the LYNCEUS_BRANCH_PARALLEL environment
   /// toggle, mirroring LynceusOptions::branch_parallel.
   bool branch_parallel = util::env_flag("LYNCEUS_BRANCH_PARALLEL");
-  /// Optional root cache shared across optimize() runs (see RootCache in
-  /// core/lookahead.hpp); null disables caching. Not owned.
+  /// Optional decision cache (see RootCache in core/lookahead.hpp): a
+  /// decision whose exact state some run sharing the cache has already
+  /// decided returns the stored choice without fitting or simulating.
+  /// Bypassed when `model_factory` is set (a function cannot be keyed).
+  /// Null disables caching. Trajectories are identical either way. Not
+  /// owned.
   RootCache* root_cache = nullptr;
   /// Opt-in incremental refit of the I+1 per-branch ensembles (see the
   /// "Incremental-refit determinism contract" in core/lookahead.hpp).

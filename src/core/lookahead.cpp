@@ -41,11 +41,55 @@ double state_incumbent(const std::vector<double>& y,
 
 constexpr double kPhi0 = 0.3989422804014326779;  // φ(0) = 1/√(2π)
 
+/// A decision key's hash: the context's (computed once) mixed with the
+/// state's.
+std::uint64_t key_hash(std::uint64_t context_hash, const std::string& state) {
+  return context_hash ^ (std::hash<std::string>{}(state) +
+                         0x9e3779b97f4a7c15ULL + (context_hash << 6) +
+                         (context_hash >> 2));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // RootCache
 // ---------------------------------------------------------------------------
+
+void RootCache::Key::set_context(std::string context) {
+  context_hash_ = std::hash<std::string>{}(context);
+  context_ = std::make_shared<const std::string>(std::move(context));
+}
+
+void RootCache::Key::begin_state(std::uint64_t seed, std::uint64_t iteration,
+                                 double remaining_budget,
+                                 const std::vector<Sample>& samples,
+                                 const std::vector<FailureRecord>& failures) {
+  state_.clear();
+  put(seed);
+  put(iteration);
+  put(remaining_budget);
+  put(samples.size());
+  for (const Sample& s : samples) {
+    put(s.id);
+    put(s.cost);
+    put(static_cast<char>(s.feasible ? 1 : 0));
+  }
+  put(failures.size());
+  for (const FailureRecord& f : failures) put(f.id);
+}
+
+void RootCache::Key::append_problem(std::string& out,
+                                    const OptimizationProblem& problem) {
+  const space::ConfigSpace& space = *problem.space;
+  append(out, space.size());
+  append(out, space.dim_count());
+  for (ConfigId id = 0; id < space.size(); ++id) {
+    for (double f : space.features(id)) append(out, f);
+    append(out, problem.unit_price_per_hour.at(id));
+  }
+  append(out, problem.tmax_seconds);
+  append(out, problem.budget);
+}
 
 RootCache::RootCache() : RootCache(Options{}) {}
 
@@ -53,125 +97,72 @@ RootCache::RootCache(Options options) : options_(options) {
   entries_.reserve(options_.capacity);
 }
 
-bool RootCache::key_matches(
-    const Entry& e, const std::vector<std::uint32_t>& rows,
-    const std::vector<const std::vector<double>*>& targets,
-    std::uint64_t fit_seed, std::size_t space_rows) const {
-  if (e.fit_seed != fit_seed || e.space_rows != space_rows ||
-      e.rows != rows || e.targets.size() != targets.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (e.targets[i] != *targets[i]) return false;
-  }
-  return true;
+bool RootCache::same_context(const Entry& e, const Key& key) {
+  return e.context == key.context_ ||
+         (e.context_hash == key.context_hash_ && *e.context == *key.context_);
 }
 
-bool RootCache::is_prefix_of(
-    const Entry& e, const std::vector<std::uint32_t>& rows,
-    const std::vector<const std::vector<double>*>& targets) const {
-  if (e.rows.size() > rows.size() || e.targets.size() != targets.size()) {
-    return false;
-  }
-  if (!std::equal(e.rows.begin(), e.rows.end(), rows.begin())) return false;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (e.targets[i].size() != e.rows.size() ||
-        e.targets[i].size() > targets[i]->size()) {
-      return false;
-    }
-    if (!std::equal(e.targets[i].begin(), e.targets[i].end(),
-                    targets[i]->begin())) {
-      return false;
-    }
-  }
-  return true;
-}
-
-const RootCache::Entry* RootCache::lookup(
-    const std::vector<std::uint32_t>& rows,
-    const std::vector<const std::vector<double>*>& targets,
-    std::uint64_t fit_seed, std::size_t space_rows) {
-  if (options_.capacity == 0) return nullptr;
-  // Drop diverged entries first (an exact match always survives this
-  // sweep, so the pointer returned below stays valid): an entry with the
-  // probe's objective count that shares the probe's row-id prefix but
-  // disagrees on the shared target values records a diverged history
-  // ("sample append mismatch") and can never hit again. Entries of a
-  // different shape (objective count or space size) belong to another
-  // engine sharing the cache and are left alone.
-  for (std::size_t i = 0; i < entries_.size();) {
+std::size_t RootCache::find(const Key& key, std::uint64_t hash) const {
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
-    if (e.targets.size() == targets.size() && e.space_rows == space_rows &&
-        e.rows.size() <= rows.size() &&
-        std::equal(e.rows.begin(), e.rows.end(), rows.begin()) &&
-        !is_prefix_of(e, rows, targets)) {
-      ++stats_.invalidations;
-      entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
-      continue;
-    }
-    ++i;
-  }
-  for (Entry& e : entries_) {
-    if (key_matches(e, rows, targets, fit_seed, space_rows)) {
-      e.tick = ++tick_;
-      ++stats_.hits;
-      return &e;
+    if (e.hash == hash && e.state == key.state_ && same_context(e, key)) {
+      return i;
     }
   }
-  ++stats_.misses;
-  return nullptr;
+  return std::string::npos;
 }
 
-void RootCache::store(
-    const std::vector<std::uint32_t>& rows,
-    const std::vector<const std::vector<double>*>& targets,
-    std::uint64_t fit_seed,
-    const std::vector<const std::vector<model::Prediction>*>& preds,
-    const std::vector<const model::Regressor*>& models) {
-  if (options_.capacity == 0) return;
-  if (preds.size() != targets.size() || preds.empty()) {
-    throw std::logic_error("RootCache::store: preds/targets size mismatch");
+bool RootCache::lookup(const Key& key, DecisionEvent& out) {
+  if (options_.capacity == 0) return false;
+  const std::uint64_t hash = key_hash(key.context_hash_, key.state_);
+  std::lock_guard lock(mutex_);
+  const std::size_t i = find(key, hash);
+  if (i == std::string::npos) {
+    ++stats_.misses;
+    return false;
   }
-  const std::size_t space_rows = preds.front()->size();
-  for (const Entry& e : entries_) {
-    if (key_matches(e, rows, targets, fit_seed, space_rows)) {
-      return;  // already cached
-    }
-  }
-  // Fill the spare entry (recycled from the last eviction, so steady-state
-  // stores reuse its buffers instead of reallocating).
-  Entry e = std::move(spare_);
-  spare_ = Entry{};
-  e.rows.assign(rows.begin(), rows.end());
-  e.fit_seed = fit_seed;
-  e.space_rows = space_rows;
+  Entry& e = entries_[i];
+  key.context_ = e.context;  // equal; share the cached copy
   e.tick = ++tick_;
-  e.targets.resize(targets.size());
-  e.preds.resize(preds.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    e.targets[i].assign(targets[i]->begin(), targets[i]->end());
-    e.preds[i].assign(preds[i]->begin(), preds[i]->end());
-  }
-  e.models.clear();
-  if (options_.store_models) {
-    e.models.resize(models.size());
-    for (std::size_t i = 0; i < models.size(); ++i) {
-      if (models[i] != nullptr) e.models[i] = models[i]->clone();
-    }
-  }
-  if (entries_.size() >= options_.capacity) {
-    std::size_t lru = 0;
-    for (std::size_t i = 1; i < entries_.size(); ++i) {
-      if (entries_[i].tick < entries_[lru].tick) lru = i;
-    }
-    spare_ = std::move(entries_[lru]);
-    entries_[lru] = std::move(e);
-  } else {
-    entries_.push_back(std::move(e));
-  }
+  ++stats_.hits;
+  out = e.decision;
+  return true;
 }
 
-void RootCache::clear() { entries_.clear(); }
+void RootCache::store(const Key& key, const DecisionEvent& decision) {
+  if (options_.capacity == 0) return;
+  const std::uint64_t hash = key_hash(key.context_hash_, key.state_);
+  std::lock_guard lock(mutex_);
+  if (find(key, hash) != std::string::npos) return;  // already cached
+  for (const Entry& e : entries_) {
+    if (same_context(e, key)) {
+      key.context_ = e.context;  // equal; share the cached copy
+      break;
+    }
+  }
+  Entry* slot = nullptr;
+  if (entries_.size() < options_.capacity) {
+    slot = &entries_.emplace_back();
+  } else {
+    slot = &entries_.front();
+    for (Entry& e : entries_) {
+      if (e.tick < slot->tick) slot = &e;
+    }
+  }
+  slot->context = key.context_;
+  slot->context_hash = key.context_hash_;
+  slot->hash = hash;
+  slot->state.assign(key.state_);  // reuses an evicted entry's buffer
+  slot->decision = decision;
+  slot->tick = ++tick_;
+}
+
+RootCache::Stats RootCache::stats() const {
+  std::lock_guard lock(mutex_);
+  Stats out = stats_;
+  out.entries = entries_.size();
+  return out;
+}
 
 // ---------------------------------------------------------------------------
 // LookaheadEngine
@@ -189,7 +180,6 @@ LookaheadEngine::LookaheadEngine(const OptimizationProblem& problem,
     throw std::invalid_argument("LookaheadEngine: need at least one worker");
   }
   viable_z_ = math::norm_cdf_ge_boundary(options_.feasibility_quantile);
-  cache_ = options_.root_cache;
   const std::size_t space = problem_.space->size();
   root_model_ = factory();
   if (options_.incremental_refit && options_.lookahead > 0) {
@@ -311,38 +301,9 @@ void LookaheadEngine::begin_decision(const std::vector<Sample>& samples,
     if (tested_[id] == 0) root_cands_.push_back(static_cast<ConfigId>(id));
   }
 
-  // Root fit + full-space prediction, or a RootCache hit that skips both
-  // (exact key match only, so the predictions are bitwise identical to the
-  // refit's — see the RootCache class comment).
-  const RootCache::Entry* hit = nullptr;
-  if (cache_ != nullptr) {
-    key_targets_.assign(1, &root_y_);
-    hit = cache_->lookup(root_rows_, key_targets_, fit_seed, fm_.rows());
-  }
-  if (hit != nullptr) {
-    root_preds_ = hit->preds.front();
-    if (incremental_ok_) {
-      // Incremental branches extend the fitted root model, so a hit must
-      // also restore it: from the cached snapshot when it carries bootstrap
-      // membership, else by refitting — the fit is deterministic in
-      // (rows, y, fit_seed), so either route yields the identical model
-      // and trajectories stay independent of what the cache stored.
-      const bool restored = !hit->models.empty() &&
-                            hit->models.front() != nullptr &&
-                            root_model_->assign_fitted(*hit->models.front()) &&
-                            root_model_->incremental_ready();
-      if (!restored) root_model_->fit(fm_, root_rows_, root_y_, fit_seed);
-    }
-  } else {
-    root_model_->fit(fm_, root_rows_, root_y_, fit_seed);
-    root_model_->predict_all(fm_, root_preds_);
-    if (cache_ != nullptr) {
-      key_preds_.assign(1, &root_preds_);
-      key_models_.assign(1, root_model_.get());
-      cache_->store(root_rows_, key_targets_, fit_seed, key_preds_,
-                    key_models_);
-    }
-  }
+  // Root fit + the decision's one full-space prediction.
+  root_model_->fit(fm_, root_rows_, root_y_, fit_seed);
+  root_model_->predict_all(fm_, root_preds_);
 
   // Incumbent y*: cheapest feasible sample, else the paper's fallback.
   {
@@ -643,7 +604,6 @@ MultiConstraintEngine::MultiConstraintEngine(
     }
   }
   viable_z_ = math::norm_cdf_ge_boundary(options_.feasibility_quantile);
-  cache_ = options_.root_cache;
 
   const std::size_t space = problem_.space->size();
   const std::size_t n_constraints = options_.thresholds.size();
@@ -702,9 +662,6 @@ MultiConstraintEngine::MultiConstraintEngine(
   viable_.reserve(space);
   eic_by_id_.resize(space, 0.0);
   root_mpred_scratch_.resize(n_constraints);
-  key_targets_.reserve(vars);
-  key_preds_.reserve(vars);
-  key_models_.reserve(vars);
 
   // Static partitions of the depth-0 combo fan-out (pooled-determinism
   // contract): never more than the worst-case unpruned combo count.
@@ -826,62 +783,14 @@ void MultiConstraintEngine::begin_decision(
     if (tested_[id] == 0) root_cands_.push_back(static_cast<ConfigId>(id));
   }
 
-  // Root fits + full-space predictions for every objective, or one
-  // RootCache hit that restores all of them (exact key match, so the
-  // predictions are bitwise identical to the refits').
-  const RootCache::Entry* hit = nullptr;
-  if (cache_ != nullptr) {
-    key_targets_.clear();
-    key_targets_.push_back(&root_y_cost_);
-    for (std::size_t c = 0; c < n_constraints; ++c) {
-      key_targets_.push_back(&root_y_metric_[c]);
-    }
-    hit = cache_->lookup(root_rows_, key_targets_, fit_seed, fm_.rows());
-  }
-  if (hit != nullptr) {
-    for (std::size_t obj = 0; obj < root_preds_.size(); ++obj) {
-      root_preds_[obj] = hit->preds[obj];
-    }
-    if (incremental_ok_) {
-      // Restore every fitted objective model for incremental branch
-      // refits — from the cached snapshots when they carry membership,
-      // else by deterministic refits (identical models either way; see
-      // LookaheadEngine::begin_decision).
-      bool restored = hit->models.size() == root_models_.size();
-      for (std::size_t obj = 0; restored && obj < root_models_.size();
-           ++obj) {
-        restored = hit->models[obj] != nullptr &&
-                   root_models_[obj]->assign_fitted(*hit->models[obj]) &&
-                   root_models_[obj]->incremental_ready();
-      }
-      if (!restored) {
-        root_models_[0]->fit(fm_, root_rows_, root_y_cost_,
-                             util::derive_seed(fit_seed, 0));
-        for (std::size_t c = 0; c < n_constraints; ++c) {
-          root_models_[c + 1]->fit(fm_, root_rows_, root_y_metric_[c],
-                                   util::derive_seed(fit_seed, c + 1));
-        }
-      }
-    }
-  } else {
-    root_models_[0]->fit(fm_, root_rows_, root_y_cost_,
-                         util::derive_seed(fit_seed, 0));
-    root_models_[0]->predict_all(fm_, root_preds_[0]);
-    for (std::size_t c = 0; c < n_constraints; ++c) {
-      root_models_[c + 1]->fit(fm_, root_rows_, root_y_metric_[c],
-                               util::derive_seed(fit_seed, c + 1));
-      root_models_[c + 1]->predict_all(fm_, root_preds_[c + 1]);
-    }
-    if (cache_ != nullptr) {
-      key_preds_.clear();
-      key_models_.clear();
-      for (std::size_t obj = 0; obj < root_preds_.size(); ++obj) {
-        key_preds_.push_back(&root_preds_[obj]);
-        key_models_.push_back(root_models_[obj].get());
-      }
-      cache_->store(root_rows_, key_targets_, fit_seed, key_preds_,
-                    key_models_);
-    }
+  // Root fits + full-space predictions for every objective.
+  root_models_[0]->fit(fm_, root_rows_, root_y_cost_,
+                       util::derive_seed(fit_seed, 0));
+  root_models_[0]->predict_all(fm_, root_preds_[0]);
+  for (std::size_t c = 0; c < n_constraints; ++c) {
+    root_models_[c + 1]->fit(fm_, root_rows_, root_y_metric_[c],
+                             util::derive_seed(fit_seed, c + 1));
+    root_models_[c + 1]->predict_all(fm_, root_preds_[c + 1]);
   }
 
   // Incumbent y*: cheapest feasible sample, else the paper's fallback over

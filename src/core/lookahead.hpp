@@ -49,9 +49,10 @@
 /// multi-constraint extension, where a path node evaluates a *vector* of
 /// objectives (cost + one metric per constraint) and joint speculation over
 /// the Cartesian Gauss–Hermite product becomes flat per-depth workspace
-/// buffers instead of per-combination state copies. Both can consult a
-/// RootCache so that repeated decisions (warm-started or recurrent tuning
-/// rounds) skip the root fit + full-space prediction entirely.
+/// buffers instead of per-combination state copies. Neither engine caches
+/// anything across decisions: the steppers above them consult RootCache
+/// (below) and skip an exactly repeated decision before it reaches an
+/// engine.
 ///
 /// ## Incremental-refit determinism contract
 ///
@@ -61,7 +62,7 @@
 /// (reference::NaiveLynceus in core/lookahead_reference.hpp,
 /// reference::NaiveMultiConstraintLynceus / McSimulator in
 /// core/constraints_reference.hpp) — the golden-trajectory tests enforce
-/// this for LA 0/1/2, one and two constraints, cache on or off. Nothing
+/// this for LA 0/1/2, one and two constraints. Nothing
 /// about the default path changes when the flag exists but is off.
 ///
 /// With the flag **on** (and a model supporting it — the bagging ensemble;
@@ -75,10 +76,7 @@
 ///
 ///  * **Pinned (bitwise):** repeatability. The same (samples, seeds, flag)
 ///    reproduce byte-identical trajectories, across runs, build modes and
-///    worker counts, with the cache on or off — the cached model snapshot
-///    restored on a hit carries the same bootstrap membership a refit
-///    would recapture, and a hit without a usable snapshot refits
-///    deterministically.
+///    worker counts, with the decision cache on or off.
 ///  * **Not pinned:** equality with the flag-off trajectory. Incremental
 ///    fits are statistically equivalent, not bitwise equal, to
 ///    from-scratch fits (different bootstrap composition for the appended
@@ -131,7 +129,7 @@
 /// Deeper-depth fan-outs stay serial within their branch (the partitions
 /// already saturate the pool; nesting would only add dispatch overhead).
 /// **Bit-pinned:** trajectories for any (pool, worker-count) choice,
-/// including pool off, with incremental refit on or off, cache on or off —
+/// including pool off, with incremental refit on or off —
 /// the golden-trajectory and pooled-vs-serial suites enforce this.
 /// **Not pinned:** wall-clock timing and which thread computes which
 /// branch. simulate() remains zero-allocation after warm-up with the pool
@@ -145,8 +143,11 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
+#include <type_traits>
 #include <vector>
 
+#include "core/trace.hpp"
 #include "core/types.hpp"
 #include "math/gauss_hermite.hpp"
 #include "model/regressor.hpp"
@@ -165,121 +166,140 @@ struct PathValue {
   double cost = 0.0;
 };
 
-/// Cross-decision cache of root-level model work (ROADMAP "Root-level
-/// result caching").
+/// Server-wide cache of whole Lynceus decisions: a session that meets a
+/// decision state some session has already decided skips the decision —
+/// no root fit, no prediction, no path simulation — and returns the
+/// stored choice.
 ///
-/// **Key.** A root fit is fully determined by the triple
-///   (training rows, per-objective target vectors, derive_seed fit seed):
-/// the feature matrix is immutable per space and every Regressor is
-/// deterministic given its seed. The cache therefore maps that key to the
-/// full-space predictions of every objective model (plus, optionally, a
-/// clone of each fitted model — see Options::store_models). A hit is only
-/// ever declared on an *exact* key match, which keeps trajectories
-/// bit-identical with the cache on or off: the cached predictions are the
-/// very doubles the skipped refit would recompute.
+/// **What is cached.** The Lynceus and multi-constraint steppers
+/// (core/lynceus.cpp, core/constraints.cpp) look the decision up before
+/// LookaheadEngine/MultiConstraintEngine::begin_decision. A hit returns
+/// the cached DecisionEvent — the chosen configuration and everything
+/// the stepper reports to its observer — without fitting, predicting or
+/// simulating. A miss decides exactly as without a cache and stores the
+/// event. Stop outcomes ("no viable configuration left", the EI stop) are
+/// never stored; they are rare and cheap. An entry is O(samples) bytes.
 ///
-/// **Invalidation.** Consecutive decisions of one tuning run extend the
-/// training set by appending samples, so an entry whose key is a strict
-/// prefix of the probe (same ids, same target values, any seed) is simply
-/// a miss — it stays cached so a warm-start re-run of the same lineage can
-/// still hit it. An entry with the probe's objective count whose rows are
-/// a length-wise prefix of the probe's rows but whose shared target
-/// values mismatch belongs to a diverged history (different runner,
-/// different problem instance): it can never hit again and is dropped
-/// immediately, counted in Stats::invalidations. Entries with a different
-/// objective count or space size are a plain miss and are left alone (a
-/// single- and a multi-constraint engine may share one cache). Beyond
-/// that, entries are evicted least-recently used once `capacity` is
-/// exceeded.
+/// **The key is exact.** It holds everything a decision reads:
+///  * a per-stepper *context*, built once: a stepper-kind tag, the
+///    problem's content (every configuration's features, unit prices,
+///    Tmax, budget) and every option that can change a trajectory
+///    (lookahead, Gauss–Hermite points, gamma, feasibility quantile,
+///    blacklisting, incremental refit, and per kind the screen width and
+///    EI-stop fraction or the per-id constraint thresholds, metric
+///    indices and prune weight);
+///  * the per-decision *state*: seed, iteration, remaining budget, every
+///    sample (id, cost, feasible flag; the constraint metrics for the
+///    multi-constraint stepper) and every failure id.
 ///
-/// **Sharing contract.** The key cannot observe the model configuration:
-/// it assumes a fitted model is fully determined by (targets, fit seed).
-/// Share one instance only across runs using the same model factory and
-/// hyper-parameters — mixing model configurations in one cache returns
-/// the other configuration's predictions on a key collision. The space
-/// size is part of the key (`space_rows`), so mixing *spaces* is safe and
-/// simply never hits. Unrelated jobs whose bootstrap row ids coincide but
-/// whose measured targets differ thrash each other's entries through the
-/// divergence rule; give such jobs separate caches.
+/// Entries are compared byte for byte (the hash only filters), so a hit
+/// is the very choice the skipped computation would make: a decision is a
+/// deterministic function of the state in its key, and trajectories are
+/// identical with the cache on or off. Pool width and branch parallelism
+/// stay out of the key — core/lookahead.hpp's pooled-determinism contract
+/// already holds them byte-identical.
 ///
-/// Not thread-safe: engines consult it only from begin_decision, which is
-/// already single-threaded by contract. Share one instance across
-/// optimizer runs (LynceusOptions::root_cache /
-/// MultiConstraintOptions::root_cache) to reuse root work across
-/// warm-started runs of a recurrent job. Storing costs one O(space)
-/// prediction copy per decision; engines given no cache skip the
-/// machinery entirely.
+/// **Bypasses.** A function cannot be keyed, so a stepper given a
+/// `setup_cost` or a custom `model_factory` never consults the cache.
+///
+/// **Eviction.** Least recently used once `capacity` is exceeded. An
+/// exact key needs no other invalidation: a state that never recurs
+/// simply ages out.
+///
+/// **Thread safety and sharing.** One mutex guards every call; a lookup
+/// copies the small DecisionEvent out. One instance serves any mix of
+/// problems, option sets and stepper kinds — the key tells them apart —
+/// so a tuning server keeps one cache for all its shards
+/// (net::TuningServer), and in-process callers share one across
+/// optimize() runs (LynceusOptions::root_cache /
+/// MultiConstraintOptions::root_cache). Not owned by the steppers; it
+/// must outlive them.
 class RootCache {
  public:
   struct Options {
-    /// Maximum number of cached roots; 0 disables the cache.
+    /// Maximum number of cached decisions; 0 disables the cache.
     std::size_t capacity = 8;
-    /// Also snapshot the fitted models via Regressor::clone() so a hit
-    /// restores the root tree set, not just its predictions (groundwork
-    /// for incremental refits of a cached root). Models whose clone()
-    /// returns null are stored as predictions only.
-    bool store_models = false;
   };
 
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t invalidations = 0;
+    std::size_t entries = 0;
   };
 
-  struct Entry {
-    std::vector<std::uint32_t> rows;
-    std::vector<std::vector<double>> targets;  ///< [objective][sample]
-    std::uint64_t fit_seed = 0;
-    std::size_t space_rows = 0;  ///< configuration-space size (key part)
-    std::vector<std::vector<model::Prediction>> preds;  ///< [objective][id]
-    std::vector<std::unique_ptr<model::Regressor>> models;  ///< may be null
-    std::uint64_t tick = 0;  ///< LRU stamp
+  /// One stepper's decision key: the context is set once, the state is
+  /// rebuilt per decision (its buffer's capacity is reused).
+  class Key {
+   public:
+    /// Seals `context` as the per-stepper part of every key.
+    void set_context(std::string context);
+    /// Restarts the per-decision state with the parts every stepper
+    /// shares; steppers then put() their own (constraint metrics).
+    void begin_state(std::uint64_t seed, std::uint64_t iteration,
+                     double remaining_budget,
+                     const std::vector<Sample>& samples,
+                     const std::vector<FailureRecord>& failures);
+    template <class T>
+    void put(const T& v) {
+      append(state_, v);
+    }
+
+    /// Appends the raw bytes of a scalar to a key buffer.
+    template <class T>
+    static void append(std::string& out, const T& v) {
+      static_assert(std::is_arithmetic_v<T>, "key parts are scalars");
+      out.append(reinterpret_cast<const char*>(&v), sizeof(T));
+    }
+    /// Appends the problem's content to a context.
+    static void append_problem(std::string& out,
+                               const OptimizationProblem& problem);
+
+   private:
+    friend class RootCache;
+    /// Mutable: the cache may swap in an equal, shared copy.
+    mutable std::shared_ptr<const std::string> context_;
+    std::uint64_t context_hash_ = 0;
+    std::string state_;
   };
 
   RootCache();
   explicit RootCache(Options options);
 
-  /// Exact-match lookup (`space_rows` = the probing engine's space size,
-  /// part of the key); counts a hit or a miss, dropping diverged entries
-  /// (see invalidation rules above). The returned pointer is only valid
-  /// until the next lookup()/store()/clear() — both can erase or move
-  /// entries; copy what you need immediately.
-  [[nodiscard]] const Entry* lookup(
-      const std::vector<std::uint32_t>& rows,
-      const std::vector<const std::vector<double>*>& targets,
-      std::uint64_t fit_seed, std::size_t space_rows);
+  /// Exact-match lookup: on a hit copies the decision into `out` and
+  /// returns true. Counts a hit or a miss (nothing when capacity is 0).
+  /// `key` may adopt a cached copy of its context (see store()).
+  [[nodiscard]] bool lookup(const Key& key, DecisionEvent& out);
 
-  /// Stores a fitted root (copies rows/targets/predictions; clones the
-  /// models when Options::store_models is set). `preds` and `models` are
-  /// parallel to `targets`; `models` entries may be null. No-op when the
-  /// key is already cached or capacity is 0.
-  void store(const std::vector<std::uint32_t>& rows,
-             const std::vector<const std::vector<double>*>& targets,
-             std::uint64_t fit_seed,
-             const std::vector<const std::vector<model::Prediction>*>& preds,
-             const std::vector<const model::Regressor*>& models);
+  /// Stores a decision under `key` (no-op when already cached or when
+  /// capacity is 0), evicting the least recently used entry when full.
+  /// Keys with equal contexts end up sharing one copy: `key` adopts an
+  /// entry's equal context, so sessions of one problem and option set
+  /// hold one context between them, and later compares are by pointer.
+  void store(const Key& key, const DecisionEvent& decision);
 
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  [[nodiscard]] Stats stats() const;
   [[nodiscard]] const Options& options() const noexcept { return options_; }
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  void clear();
 
  private:
-  [[nodiscard]] bool key_matches(
-      const Entry& e, const std::vector<std::uint32_t>& rows,
-      const std::vector<const std::vector<double>*>& targets,
-      std::uint64_t fit_seed, std::size_t space_rows) const;
-  /// True when `e` shares `rows`/`targets` as a prefix (same lineage).
-  [[nodiscard]] bool is_prefix_of(
-      const Entry& e, const std::vector<std::uint32_t>& rows,
-      const std::vector<const std::vector<double>*>& targets) const;
+  struct Entry {
+    std::shared_ptr<const std::string> context;
+    std::uint64_t context_hash = 0;
+    std::uint64_t hash = 0;  ///< of context and state together
+    std::string state;
+    DecisionEvent decision;
+    std::uint64_t tick = 0;  ///< LRU stamp
+  };
 
-  Options options_;
+  /// Index of the entry matching `key` (hash `hash`), or npos.
+  [[nodiscard]] std::size_t find(const Key& key, std::uint64_t hash) const;
+  /// True when `e`'s context equals `key`'s.
+  static bool same_context(const Entry& e, const Key& key);
+
+  const Options options_;
+  mutable std::mutex mutex_;
   Stats stats_;
   std::uint64_t tick_ = 0;
   std::vector<Entry> entries_;
-  Entry spare_;  ///< last evicted entry, recycled by the next store
 };
 
 class LookaheadEngine {
@@ -290,10 +310,6 @@ class LookaheadEngine {
     double gamma = 0.9;               ///< reward discount
     double feasibility_quantile = 0.99;  ///< Γ filter quantile
     SetupCostFn setup_cost;           ///< optional §4.4 extension
-    /// Root cache to consult and fill (not owned; must outlive the
-    /// engine). Null disables caching entirely — decisions then pay no
-    /// store overhead. See the RootCache sharing contract.
-    RootCache* root_cache = nullptr;
     /// Opt-in incremental ensemble refit of simulated branches (see the
     /// file-level determinism contract). Off by default: the pinned
     /// golden-trajectory semantics are bit-identical with the flag off.
@@ -359,13 +375,6 @@ class LookaheadEngine {
 
   [[nodiscard]] const model::FeatureMatrix& feature_matrix() const noexcept {
     return fm_;
-  }
-
-  /// Root-cache hit/miss/invalidation counters of Options::root_cache
-  /// (all zero when caching is disabled).
-  [[nodiscard]] const RootCache::Stats& cache_stats() const noexcept {
-    static const RootCache::Stats kNone{};
-    return cache_ != nullptr ? cache_->stats() : kNone;
   }
 
  private:
@@ -467,13 +476,6 @@ class LookaheadEngine {
   const model::FeatureMatrix fm_;
   const math::GaussHermite quadrature_;
 
-  RootCache* cache_ = nullptr;  ///< options_.root_cache; null = disabled
-
-  // Root-cache key scratch (rebuilt per decision, capacity reused).
-  std::vector<const std::vector<double>*> key_targets_;
-  std::vector<const std::vector<model::Prediction>*> key_preds_;
-  std::vector<const model::Regressor*> key_models_;
-
   // Root snapshot of the current decision.
   std::unique_ptr<model::Regressor> root_model_;
   std::vector<std::uint32_t> root_rows_;
@@ -533,9 +535,7 @@ class LookaheadEngine {
 ///    index attaining the max) is unchanged.
 ///
 /// Like LookaheadEngine, simulate() performs zero heap allocation after
-/// warm-up, and begin_decision consults the RootCache so repeated root
-/// states (warm-started runs) skip all I+1 root fits + full-space
-/// predictions.
+/// warm-up.
 class MultiConstraintEngine {
  public:
   struct Options {
@@ -549,8 +549,6 @@ class MultiConstraintEngine {
     /// functions of x (they are evaluated once per configuration at
     /// construction).
     std::vector<std::function<double(ConfigId)>> thresholds;
-    /// Root cache to consult and fill (not owned); null disables caching.
-    RootCache* root_cache = nullptr;
     /// Opt-in incremental refit of all I+1 per-branch ensembles (see the
     /// file-level determinism contract). Off by default; ignored when the
     /// model does not support incremental updates.
@@ -569,8 +567,8 @@ class MultiConstraintEngine {
   /// Starts a decision from the optimizer's root state: `y_metric[c]`
   /// holds the measured values of constraint c aligned with `rows`,
   /// `feasible` the joint (deadline and every constraint) per-sample
-  /// feasibility flags. Fits cost + metric models (or restores them from
-  /// the root cache), runs the full-space predictions, the incumbent rule
+  /// feasibility flags. Fits cost + metric models, runs the full-space
+  /// predictions, the incumbent rule
   /// and the fused Γ/EIc root pass. Not thread-safe against concurrent
   /// simulate() calls.
   void begin_decision(const std::vector<std::uint32_t>& rows,
@@ -599,11 +597,6 @@ class MultiConstraintEngine {
   /// Safe to call concurrently from up to `workers` threads between two
   /// begin_decision calls.
   [[nodiscard]] PathValue simulate(ConfigId root, std::uint64_t path_seed);
-
-  [[nodiscard]] const RootCache::Stats& cache_stats() const noexcept {
-    static const RootCache::Stats kNone{};
-    return cache_ != nullptr ? cache_->stats() : kNone;
-  }
 
   /// Number of constraints I (objectives are I+1).
   [[nodiscard]] std::size_t constraint_count() const noexcept {
@@ -706,17 +699,10 @@ class MultiConstraintEngine {
   const model::FeatureMatrix fm_;
   const math::GaussHermite quadrature_;
 
-  RootCache* cache_ = nullptr;  ///< options_.root_cache; null = disabled
-
   /// Precomputed per-configuration feasibility cost caps and constraint
   /// thresholds (pure functions of the id).
   std::vector<double> caps_;
   std::vector<std::vector<double>> threshold_by_id_;  ///< [constraint][id]
-
-  // Root-cache key scratch (rebuilt per decision, capacity reused).
-  std::vector<const std::vector<double>*> key_targets_;
-  std::vector<const std::vector<model::Prediction>*> key_preds_;
-  std::vector<const model::Regressor*> key_models_;
 
   // Root snapshot of the current decision.
   std::vector<std::unique_ptr<model::Regressor>> root_models_;  ///< I+1

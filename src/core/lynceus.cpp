@@ -54,6 +54,12 @@ class LynceusStepper final : public OptimizerStepper {
                 options_.pool != nullptr ? options_.pool->worker_count() + 1
                                          : 1) {
     st_.blacklist_failed = options_.blacklist_failed;
+    // A function cannot be keyed: steppers with one bypass the cache.
+    if (options_.root_cache != nullptr && !options_.setup_cost &&
+        !options_.model_factory) {
+      cache_ = options_.root_cache;
+      key_.set_context(key_context(options_, problem));
+    }
   }
 
   [[nodiscard]] std::string name() const override {
@@ -68,6 +74,17 @@ class LynceusStepper final : public OptimizerStepper {
     }
     timer_.start();
     ++iteration_;
+
+    if (cache_ != nullptr) {
+      key_.begin_state(seed_, iteration_, st_.budget.remaining(), st_.samples,
+                       st_.failures);
+      DecisionEvent hit;
+      if (cache_->lookup(key_, hit)) {
+        timer_.stop();
+        if (observer_ != nullptr) observer_->on_decision(hit);
+        return hit.chosen;
+      }
+    }
 
     engine_.begin_decision(st_.samples, st_.budget.remaining(),
                            util::derive_seed(seed_, iteration_));
@@ -141,18 +158,17 @@ class LynceusStepper final : public OptimizerStepper {
     }
     timer_.stop();
 
-    if (observer_ != nullptr) {
-      DecisionEvent event;
-      event.iteration = static_cast<std::size_t>(iteration_);
-      event.viable_count = engine_.viable().size();
-      event.simulated_roots = roots_.size();
-      event.chosen = best_id;
-      event.predicted_cost = engine_.root_predictions()[best_id].mean;
-      event.incumbent = engine_.incumbent();
-      event.remaining_budget = st_.budget.remaining();
-      event.best_ratio = best_ratio;
-      observer_->on_decision(event);
-    }
+    DecisionEvent event;
+    event.iteration = static_cast<std::size_t>(iteration_);
+    event.chosen = best_id;
+    event.viable_count = engine_.viable().size();
+    event.simulated_roots = roots_.size();
+    event.predicted_cost = engine_.root_predictions()[best_id].mean;
+    event.incumbent = engine_.incumbent();
+    event.best_ratio = best_ratio;
+    event.remaining_budget = st_.budget.remaining();
+    if (cache_ != nullptr) cache_->store(key_, event);
+    if (observer_ != nullptr) observer_->on_decision(event);
     return best_id;
   }
 
@@ -176,6 +192,23 @@ class LynceusStepper final : public OptimizerStepper {
   }
 
  private:
+  /// The per-stepper part of the decision key (see RootCache): the
+  /// problem and every option that can change a trajectory.
+  static std::string key_context(const LynceusOptions& o,
+                                 const OptimizationProblem& problem) {
+    std::string c = "lynceus";
+    RootCache::Key::append_problem(c, problem);
+    RootCache::Key::append(c, o.lookahead);
+    RootCache::Key::append(c, o.gh_points);
+    RootCache::Key::append(c, o.gamma);
+    RootCache::Key::append(c, o.feasibility_quantile);
+    RootCache::Key::append(c, o.screen_width);
+    RootCache::Key::append(c, o.ei_stop_fraction);
+    RootCache::Key::append(c, o.incremental_refit);
+    RootCache::Key::append(c, o.blacklist_failed);
+    return c;
+  }
+
   static LookaheadEngine::Options engine_options(
       const LynceusOptions& options) {
     LookaheadEngine::Options eopts;
@@ -184,7 +217,6 @@ class LynceusStepper final : public OptimizerStepper {
     eopts.gamma = options.gamma;
     eopts.feasibility_quantile = options.feasibility_quantile;
     eopts.setup_cost = options.setup_cost;
-    eopts.root_cache = options.root_cache;
     eopts.incremental_refit = options.incremental_refit;
     eopts.branch_pool = options.branch_parallel ? options.pool : nullptr;
     return eopts;
@@ -194,6 +226,8 @@ class LynceusStepper final : public OptimizerStepper {
   const std::uint64_t seed_;
   const model::ModelFactory factory_;
   LookaheadEngine engine_;
+  RootCache* cache_ = nullptr;  ///< null when off or bypassed
+  RootCache::Key key_;
   std::uint64_t iteration_ = 0;
   std::vector<ConfigId> roots_;
   std::vector<PathValue> values_;

@@ -80,11 +80,13 @@ struct LynceusOptions {
   bool branch_parallel = util::env_flag("LYNCEUS_BRANCH_PARALLEL");
   /// Optional setup-cost extension (§4.4).
   SetupCostFn setup_cost;
-  /// Optional root cache (see RootCache in core/lookahead.hpp): share one
-  /// instance across optimize() runs so warm-started re-runs of the same
-  /// job skip the root fit + full-space prediction of repeated decisions.
-  /// Null disables caching (within one run the cache can never hit, so
-  /// there is nothing to pay either). Not owned.
+  /// Optional decision cache (see RootCache in core/lookahead.hpp): share
+  /// one instance across optimize() runs or sessions so a decision whose
+  /// exact state has already been decided returns the stored choice,
+  /// skipping the root fit, the predictions and every path simulation.
+  /// Bypassed when `setup_cost` or `model_factory` is set (a function
+  /// cannot be keyed). Null disables caching (within one run the cache
+  /// can never hit). Trajectories are identical either way. Not owned.
   RootCache* root_cache = nullptr;
   /// Opt-in incremental ensemble refit of simulated branches (see the
   /// "Incremental-refit determinism contract" in core/lookahead.hpp):

@@ -61,7 +61,9 @@ const BundledSuite* bundled_suite(const std::string& name) {
 
 TuningServer::TuningServer() : TuningServer(Options{}) {}
 
-TuningServer::TuningServer(Options options) : options_(std::move(options)) {
+TuningServer::TuningServer(Options options)
+    : options_(std::move(options)),
+      cache_(core::RootCache::Options{options_.root_cache_capacity}) {
   if (options_.shards == 0) {
     throw std::invalid_argument("TuningServer: shards must be >= 1");
   }
@@ -122,6 +124,7 @@ void TuningServer::stop() {
   // would otherwise skip a consumer that is between arm() and block.
   for (const auto& w : transport_wakeups_) w->notify(/*force=*/true);
   for (const auto& w : shard_wakeups_) w->notify(/*force=*/true);
+  acceptor_wakeup_.notify(/*force=*/true);
   for (std::thread& th : threads_) {
     if (th.joinable()) th.join();
   }
@@ -221,9 +224,12 @@ void TuningServer::acceptor_loop() {
   // draining the kernel backlog — TCP's own backpressure.
   NewConn held{};
   bool holding = false;
-  pollfd pfd{};
-  pfd.fd = listener_.fd();
-  pfd.events = POLLIN;
+  // The listener, and the doorbell stop() rings.
+  pollfd pfds[2]{};
+  pfds[0].fd = listener_.fd();
+  pfds[0].events = POLLIN;
+  pfds[1].fd = acceptor_wakeup_.read_fd();
+  pfds[1].events = POLLIN;
   while (!stop_.load(std::memory_order_relaxed)) {
     if (holding) {
       util::SpscQueue<NewConn>& lane =
@@ -236,9 +242,8 @@ void TuningServer::acceptor_loop() {
       transport_wakeups_[held.id % options_.shards]->notify();
       holding = false;
     }
-    pfd.revents = 0;
-    const int rc = ::poll(&pfd, 1, 50);
-    if (rc <= 0) continue;
+    pfds[0].revents = pfds[1].revents = 0;
+    if (::poll(pfds, 2, -1) <= 0 || pfds[0].revents == 0) continue;
     while (!holding) {
       const int fd = ::accept(listener_.fd(), nullptr, nullptr);
       if (fd < 0) break;  // EAGAIN / transient: poll again
@@ -639,8 +644,7 @@ void TuningServer::shard_loop(std::size_t s) {
   const std::size_t k = options_.shards;
 
   service::TuningService::Options sopts;
-  sopts.root_cache_capacity = options_.root_cache_capacity;
-  sopts.cache_store_models = options_.cache_store_models;
+  sopts.cache = options_.root_cache_capacity > 0 ? &cache_ : nullptr;
   sopts.run_policy = options_.run_policy;
   sopts.pool = &pool_;
   service::TuningService svc(sopts);

@@ -36,14 +36,13 @@
 ///     with a typed fatal `error` frame and the connection is closed —
 ///     the service loops never see it.
 ///   * **K service-loop threads** each own one `service::TuningService`
-///     (FIFO event loop, per-shard RootCache): pop requests round-robin
-///     across the transport lanes, apply them (an open resolves its
-///     problem from the server's registry, where each bundled suite is
-///     built once and shared by every shard), sweep `next_runs()`, and
-///     push replies + server-initiated `run` frames back to the
-///     transports. The server itself executes no profiling runs — remote
-///     drivers own their clusters (or replay tables) and tell results
-///     back.
+///     (FIFO event loop): pop requests round-robin across the transport
+///     lanes, apply them (an open resolves its problem from the server's
+///     registry, where each bundled suite is built once and shared by
+///     every shard), sweep `next_runs()`, and push replies +
+///     server-initiated `run` frames back to the transports. The server
+///     itself executes no profiling runs — remote drivers own their
+///     clusters (or replay tables) and tell results back.
 ///   * **One root-simulation pool** of util::default_worker_count()
 ///     workers, owned by the server and borrowed by every shard's
 ///     service (TuningService::Options::pool). A deciding shard fans its
@@ -53,6 +52,14 @@
 ///     decisions share the workers, each calling shard thread always
 ///     working on its own decision. The pool is built before the shard
 ///     threads start and destroyed after stop() joins them.
+///   * **One decision cache** (core::RootCache, when
+///     Options::root_cache_capacity > 0), owned by the server and borrowed
+///     by every shard's service (TuningService::Options::cache) like the
+///     pool: a session that reaches a decision state any session on any
+///     shard already decided returns the stored choice without running
+///     the lookahead. It is the only state shards share besides the pool
+///     and the problem registry; one mutex guards it, and a lookup copies
+///     a few dozen bytes out. cache_stats() reads its counters.
 ///
 /// ## Backpressure (parked readers, never blocking spins)
 ///
@@ -104,6 +111,7 @@
 #include <vector>
 
 #include "cloud/dataset.hpp"
+#include "core/lookahead.hpp"
 #include "core/types.hpp"
 #include "net/event_loop.hpp"
 #include "net/protocol.hpp"
@@ -133,11 +141,11 @@ class TuningServer {
     /// root-simulation pool (see pool_workers()), so the shard count
     /// does not divide the cores a single decision can use.
     std::size_t shards = 2;
-    /// Per-shard RootCache capacity (0 = off). Sessions sharing a shard
-    /// AND a recurrent problem warm-start each other, exactly as in the
-    /// in-process service; trajectories are unaffected.
+    /// Capacity of the server's one decision cache, shared by every
+    /// shard (0 = off): a repeated decision state skips the lookahead
+    /// wherever its session lives. The key is exact, so trajectories are
+    /// unaffected.
     std::size_t root_cache_capacity = 0;
-    bool cache_store_models = false;
     /// Default failure policy for sessions whose spec carries none.
     service::RunPolicy run_policy;
     /// Frames larger than this are a fatal protocol error.
@@ -205,6 +213,12 @@ class TuningServer {
   /// Idempotent.
   void stop();
 
+  /// Hits, misses and entries of the server's decision cache (all zero
+  /// when root_cache_capacity is 0). Thread-safe.
+  [[nodiscard]] core::RootCache::Stats cache_stats() const {
+    return cache_.stats();
+  }
+
   /// Sessions ever opened per shard (monitoring/tests; racy snapshot).
   [[nodiscard]] std::vector<std::size_t> shard_session_counts() const;
 
@@ -265,6 +279,12 @@ class TuningServer {
   /// Declared before threads_, so it is built before any shard starts;
   /// stop() joins the shards before it is destroyed.
   util::ThreadPool pool_{util::default_worker_count()};
+  /// The decision cache every shard borrows (unused at capacity 0); built
+  /// before the shards start and destroyed after they are joined, like
+  /// pool_.
+  core::RootCache cache_;
+  /// Rung by stop() so the acceptor's poll returns at once.
+  WakeupFd acceptor_wakeup_;
 
   std::vector<std::unique_ptr<util::SpscQueue<NewConn>>> accept_lanes_;
   /// request_lanes_[t][s]: transport t → shard s.

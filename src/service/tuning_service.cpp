@@ -35,10 +35,13 @@ TuningService::TuningService() : TuningService(Options{}) {}
 TuningService::TuningService(Options options) : options_(std::move(options)) {
   options_.run_policy.validate();
   if (options_.root_cache_capacity > 0) {
-    core::RootCache::Options copts;
-    copts.capacity = options_.root_cache_capacity;
-    copts.store_models = options_.cache_store_models;
-    cache_ = std::make_unique<core::RootCache>(copts);
+    if (options_.cache != nullptr) {
+      throw std::invalid_argument(
+          "TuningService: set root_cache_capacity or a borrowed cache, not "
+          "both");
+    }
+    cache_ = std::make_unique<core::RootCache>(
+        core::RootCache::Options{options_.root_cache_capacity});
   }
 }
 

@@ -18,9 +18,10 @@
 ///     injecting the service's shared resources: the borrowed
 ///     `util::ThreadPool` (Options::pool) fanning out every session's
 ///     root simulations, and optionally one shared `core::RootCache`, so
-///     recurrent sessions of the same job warm-start each other's root
-///     fits across the whole service. Per-session observers and budgets
-///     ride in unchanged through the optimizer options / the problem.
+///     a session that reaches a decision state another session already
+///     decided (recurrent jobs, repeated specs) skips that decision.
+///     Per-session observers and budgets ride in unchanged through the
+///     optimizer options / the problem.
 ///   * `next_runs()` drains the ready queue: it ask()s every session with
 ///     no outstanding runs, in deterministic round-robin order (see
 ///     below), and returns the profiling runs to launch.
@@ -37,9 +38,9 @@
 /// each stepper applies its tell()ed batches in canonical ask() order
 /// (core/stepper.hpp), per-session trajectories are **bit-identical to
 /// the session's solo optimize() run** no matter how many sessions are
-/// multiplexed or how their completions interleave; the shared root cache
-/// cannot perturb this either (exact-key hits return the very doubles a
-/// refit would recompute). tests/test_tuning_service.cpp pins both, up to
+/// multiplexed or how their completions interleave; the shared decision
+/// cache cannot perturb this either (an exact-key hit returns the very
+/// choice the skipped decision would make). tests/test_tuning_service.cpp pins both, up to
 /// 64 interleaved sessions with out-of-order completions.
 ///
 /// ## Run policy: retries, timeouts, quarantine
@@ -163,14 +164,16 @@ class TuningService {
     /// running. The width changes only the wall clock, never a trajectory
     /// (core/lookahead.hpp's pooled-determinism contract).
     util::ThreadPool* pool = nullptr;
-    /// Capacity of the service-owned RootCache shared across sessions
-    /// (0 = no shared cache). Sessions of one recurrent job reuse each
-    /// other's root fits; unrelated jobs sharing one service should keep
-    /// this small or off (see the RootCache sharing contract in
-    /// core/lookahead.hpp). Trajectories are unaffected either way.
+    /// Capacity of a service-owned decision cache (core::RootCache)
+    /// shared across this service's sessions (0 = none). Its key is
+    /// exact, so any mix of problems and specs may share it; trajectories
+    /// are unaffected either way.
     std::size_t root_cache_capacity = 0;
-    /// RootCache::Options::store_models for the shared cache.
-    bool cache_store_models = false;
+    /// A decision cache borrowed instead, e.g. one a server shares across
+    /// its shards (the caller owns it and keeps it alive for the
+    /// service's lifetime; RootCache is thread-safe). Setting both this
+    /// and root_cache_capacity throws std::invalid_argument.
+    core::RootCache* cache = nullptr;
     /// Failure-handling policy applied to every session whose SessionSpec
     /// does not carry its own (default: inert).
     RunPolicy run_policy;
@@ -275,7 +278,7 @@ class TuningService {
     return options_.pool;
   }
   [[nodiscard]] core::RootCache* shared_cache() noexcept {
-    return cache_ ? cache_.get() : nullptr;
+    return options_.cache != nullptr ? options_.cache : cache_.get();
   }
 
  private:

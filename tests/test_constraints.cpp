@@ -228,7 +228,6 @@ struct McEngineFixture {
     MultiConstraintEngine::Options opts;
     opts.lookahead = lookahead;
     for (const auto& c : constraints) opts.thresholds.push_back(c.threshold);
-    opts.root_cache = &cache;
     engine = std::make_unique<MultiConstraintEngine>(
         problem, std::move(opts),
         default_tree_model_factory(*problem.space), 1);
@@ -267,7 +266,6 @@ struct McEngineFixture {
   eval::TableRunner runner;
   MetricRecordingRunner recorder;
   LoopState st;
-  RootCache cache;
   std::unique_ptr<MultiConstraintEngine> engine;
   std::vector<std::uint32_t> rows;
   std::vector<double> y_cost;
@@ -314,28 +312,46 @@ TEST(MultiConstraintEngine, SimulateIsDeterministic) {
   EXPECT_EQ(a.cost, b.cost);
 }
 
-TEST(MultiConstraintEngine, RootCacheHitSkipsRefitBitIdentically) {
-  McEngineFixture fx(/*lookahead=*/1);
-  fx.begin(55);
-  ASSERT_FALSE(fx.engine->viable().empty());
-  const ConfigId root = fx.engine->viable().front();
-  const PathValue cold = fx.engine->simulate(root, 99);
-  const auto cold_preds = fx.engine->root_cost_predictions();
-  EXPECT_EQ(fx.engine->cache_stats().hits, 0U);
+// A repeated multi-constraint decision is served from the cache — the hit
+// returns before the engine's begin_decision — and the observer sees the
+// identical event.
+TEST(MultiConstraintLynceus, DecisionCacheHitSkipsLookaheadBitIdentically) {
+  const auto ds = testing::tiny_dataset();
+  const auto problem = testing::tiny_problem();
+  RootCache cache;
+  MultiConstraintOptions opts;
+  opts.lookahead = 1;
+  opts.root_cache = &cache;
 
-  // The same root state + fit seed replays from the cache...
-  fx.begin(55);
-  EXPECT_EQ(fx.engine->cache_stats().hits, 1U);
-  const PathValue warm = fx.engine->simulate(root, 99);
-  // ... with bitwise-identical predictions and path values.
-  const auto& warm_preds = fx.engine->root_cost_predictions();
-  ASSERT_EQ(warm_preds.size(), cold_preds.size());
-  for (std::size_t i = 0; i < cold_preds.size(); ++i) {
-    EXPECT_EQ(warm_preds[i].mean, cold_preds[i].mean);
-    EXPECT_EQ(warm_preds[i].stddev, cold_preds[i].stddev);
-  }
-  EXPECT_EQ(warm.reward, cold.reward);
-  EXPECT_EQ(warm.cost, cold.cost);
+  const auto first_decision = [&](DecisionEvent& event) {
+    TraceRecorder trace;
+    MultiConstraintOptions traced = opts;
+    traced.observer = &trace;
+    auto stepper = MultiConstraintLynceus({energy_constraint(26.0)}, traced)
+                       .make_stepper(problem, 55);
+    eval::TableRunner runner(ds, energy_metrics());
+    const std::vector<ConfigId> batch = stepper->ask().configs;
+    for (ConfigId id : batch) stepper->tell(id, runner.run(id));
+    const StepAction& next = stepper->ask();
+    ASSERT_EQ(next.kind, StepAction::Kind::Profile);
+    ASSERT_EQ(trace.decisions().size(), 1U);
+    event = trace.decisions().front();
+  };
+  DecisionEvent cold;
+  first_decision(cold);
+  EXPECT_EQ(cache.stats().hits, 0U);
+  EXPECT_EQ(cache.stats().entries, 1U);
+
+  DecisionEvent warm;
+  first_decision(warm);
+  EXPECT_EQ(cache.stats().hits, 1U);
+  EXPECT_EQ(warm.chosen, cold.chosen);
+  EXPECT_EQ(warm.viable_count, cold.viable_count);
+  EXPECT_EQ(warm.simulated_roots, cold.simulated_roots);
+  EXPECT_EQ(warm.predicted_cost, cold.predicted_cost);
+  EXPECT_EQ(warm.incumbent, cold.incumbent);
+  EXPECT_EQ(warm.best_ratio, cold.best_ratio);
+  EXPECT_EQ(warm.remaining_budget, cold.remaining_budget);
 }
 
 TEST(MultiConstraintLynceus, SharedRootCacheKeepsTrajectoryIdentical) {
@@ -360,8 +376,13 @@ TEST(MultiConstraintLynceus, SharedRootCacheKeepsTrajectoryIdentical) {
   const auto second = MultiConstraintLynceus({energy_constraint(26.0)}, opts)
                           .optimize(problem, r2, 42);
 
-  EXPECT_EQ(cache.stats().hits, misses);
+  // Every profiling decision of the re-run hits; a final stop outcome
+  // (counted in `decisions` by this optimizer) is never stored, so it
+  // misses on both runs.
+  const std::size_t profiled = second.history.size() - problem.bootstrap_samples;
+  EXPECT_EQ(cache.stats().hits, profiled);
   EXPECT_GT(cache.stats().hits, 0U);
+  EXPECT_EQ(cache.stats().misses - misses, misses - profiled);
   EXPECT_EQ(history_ids(baseline), history_ids(first));
   EXPECT_EQ(history_ids(baseline), history_ids(second));
   EXPECT_EQ(baseline.recommendation, second.recommendation);

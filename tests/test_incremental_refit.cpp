@@ -18,7 +18,7 @@
 ///  3. guards: the flag-off path stays bit-identical to the references,
 ///     engine-level defaults are env-independent, two flag-on runs are
 ///     byte-identical, and a warm-started flag-on run through a
-///     model-storing RootCache replays the cache-off trajectory exactly.
+///     decision cache replays the cache-off trajectory exactly.
 
 #include <gtest/gtest.h>
 
@@ -490,10 +490,10 @@ TEST(IncrementalRefitGuard, SameSeedRunsAreByteIdentical) {
   EXPECT_EQ(a.budget_spent, b.budget_spent);
 }
 
-// Warm-starting through a model-storing RootCache must replay the
-// cache-off incremental trajectory byte-for-byte: a hit restores the root
-// ensembles (with their captured bootstrap membership) instead of
-// refitting, and the restored models are bitwise equivalent.
+// Replaying incremental-refit decisions from the decision cache must
+// reproduce the cache-off incremental trajectory byte-for-byte: the key
+// carries the incremental flag, and a hit returns the choice the skipped
+// incremental decision would make.
 TEST(IncrementalRefitGuard, RootCacheWarmStartReplaysByteIdentically) {
   const auto problem = testing::tiny_problem();
   static const cloud::Dataset ds = testing::tiny_dataset();
@@ -505,48 +505,18 @@ TEST(IncrementalRefitGuard, RootCacheWarmStartReplaysByteIdentically) {
   eval::TableRunner r0(ds);
   const auto baseline = LynceusOptimizer(opts).optimize(problem, r0, 33);
 
-  RootCache::Options copts;
-  copts.capacity = 64;
-  copts.store_models = true;
-  RootCache cache(copts);
+  RootCache cache(RootCache::Options{64});
   opts.root_cache = &cache;
   eval::TableRunner r1(ds);
   const auto first = LynceusOptimizer(opts).optimize(problem, r1, 33);
   eval::TableRunner r2(ds);
   const auto second = LynceusOptimizer(opts).optimize(problem, r2, 33);
 
+  EXPECT_EQ(cache.stats().hits, baseline.decisions);
   EXPECT_GT(cache.stats().hits, 0U);
   EXPECT_EQ(history_ids(baseline), history_ids(first));
   EXPECT_EQ(history_ids(baseline), history_ids(second));
   EXPECT_EQ(baseline.recommendation, second.recommendation);
-}
-
-// Same replay guarantee when the cache stores predictions only
-// (store_models off): the engine then refits the root deterministically
-// on a hit, which must reproduce the identical model.
-TEST(IncrementalRefitGuard, PredictionOnlyCacheAlsoReplaysByteIdentically) {
-  const auto problem = testing::tiny_problem();
-  static const cloud::Dataset ds = testing::tiny_dataset();
-  LynceusOptions opts;
-  opts.lookahead = 1;
-  opts.screen_width = 6;
-  opts.incremental_refit = true;
-
-  eval::TableRunner r0(ds);
-  const auto baseline = LynceusOptimizer(opts).optimize(problem, r0, 34);
-
-  RootCache::Options copts;
-  copts.capacity = 64;
-  copts.store_models = false;
-  RootCache cache(copts);
-  opts.root_cache = &cache;
-  eval::TableRunner r1(ds);
-  (void)LynceusOptimizer(opts).optimize(problem, r1, 34);
-  eval::TableRunner r2(ds);
-  const auto second = LynceusOptimizer(opts).optimize(problem, r2, 34);
-
-  EXPECT_GT(cache.stats().hits, 0U);
-  EXPECT_EQ(history_ids(baseline), history_ids(second));
 }
 
 }  // namespace

@@ -303,179 +303,6 @@ TEST(LookaheadEngine, IncrementalSimulateIsDeterministic) {
   EXPECT_EQ(a.cost, b.cost);
 }
 
-// ---------------------------------------------------------------------------
-// RootCache
-// ---------------------------------------------------------------------------
-
-class RootCacheTest : public ::testing::Test {
- protected:
-  RootCacheTest() : space(testing::tiny_space()), fm(*space) {}
-
-  /// A fitted ensemble + its full-space predictions for the given rows.
-  void fit(const std::vector<std::uint32_t>& rows,
-           const std::vector<double>& y, std::uint64_t seed) {
-    ens.fit(fm, rows, y, seed);
-    ens.predict_all(fm, preds);
-  }
-
-  std::shared_ptr<const space::ConfigSpace> space;
-  model::FeatureMatrix fm;
-  model::BaggingEnsemble ens;
-  std::vector<model::Prediction> preds;
-};
-
-TEST_F(RootCacheTest, ExactMatchHitsPrefixMisses) {
-  RootCache cache;
-  const std::vector<std::uint32_t> rows = {1, 4, 9};
-  const std::vector<double> y = {1.0, 2.0, 3.0};
-  fit(rows, y, 7);
-  EXPECT_EQ(cache.lookup(rows, {&y}, 7, fm.rows()), nullptr);
-  cache.store(rows, {&y}, 7, {&preds}, {&ens});
-
-  const RootCache::Entry* hit = cache.lookup(rows, {&y}, 7, fm.rows());
-  ASSERT_NE(hit, nullptr);
-  ASSERT_EQ(hit->preds.size(), 1U);
-  for (std::size_t i = 0; i < preds.size(); ++i) {
-    EXPECT_EQ(hit->preds[0][i].mean, preds[i].mean);
-    EXPECT_EQ(hit->preds[0][i].stddev, preds[i].stddev);
-  }
-
-  // Same rows, different seed: miss. Appended sample (same lineage): miss,
-  // but the entry survives for a later exact probe.
-  EXPECT_EQ(cache.lookup(rows, {&y}, 8, fm.rows()), nullptr);
-  const std::vector<std::uint32_t> grown = {1, 4, 9, 12};
-  const std::vector<double> grown_y = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_EQ(cache.lookup(grown, {&grown_y}, 7, fm.rows()), nullptr);
-  EXPECT_NE(cache.lookup(rows, {&y}, 7, fm.rows()), nullptr);
-  EXPECT_EQ(cache.stats().hits, 2U);
-  EXPECT_EQ(cache.stats().misses, 3U);
-  EXPECT_EQ(cache.stats().invalidations, 0U);
-}
-
-TEST_F(RootCacheTest, DivergedLineageIsInvalidated) {
-  RootCache cache;
-  const std::vector<std::uint32_t> rows = {1, 4, 9};
-  const std::vector<double> y = {1.0, 2.0, 3.0};
-  fit(rows, y, 7);
-  cache.store(rows, {&y}, 7, {&preds}, {&ens});
-  ASSERT_EQ(cache.size(), 1U);
-
-  // Same row ids, different measured targets: a sample append mismatch —
-  // the cached lineage diverged and the entry is dropped.
-  const std::vector<std::uint32_t> grown = {1, 4, 9, 12};
-  const std::vector<double> diverged_y = {1.0, 2.5, 3.0, 4.0};
-  EXPECT_EQ(cache.lookup(grown, {&diverged_y}, 7, fm.rows()), nullptr);
-  EXPECT_EQ(cache.stats().invalidations, 1U);
-  EXPECT_EQ(cache.size(), 0U);
-  EXPECT_EQ(cache.lookup(rows, {&y}, 7, fm.rows()), nullptr);
-}
-
-TEST_F(RootCacheTest, EvictsLeastRecentlyUsed) {
-  RootCache::Options copts;
-  copts.capacity = 2;
-  RootCache cache(copts);
-  const std::vector<std::vector<std::uint32_t>> keys = {{1}, {2}, {3}};
-  const std::vector<double> y = {1.0};
-  for (const auto& rows : keys) {
-    fit(rows, y, 7);
-    cache.store(rows, {&y}, 7, {&preds}, {&ens});
-  }
-  EXPECT_EQ(cache.size(), 2U);
-  EXPECT_EQ(cache.lookup(keys[0], {&y}, 7, fm.rows()), nullptr);  // evicted
-  EXPECT_NE(cache.lookup(keys[1], {&y}, 7, fm.rows()), nullptr);
-  EXPECT_NE(cache.lookup(keys[2], {&y}, 7, fm.rows()), nullptr);
-}
-
-TEST_F(RootCacheTest, CrossShapeEntriesCoexist) {
-  // A single-constraint (1 objective) and a multi-constraint (2 objective)
-  // engine may share one cache: entries of a different shape are a plain
-  // miss, never an invalidation.
-  RootCache cache;
-  const std::vector<std::uint32_t> rows = {1, 4, 9};
-  const std::vector<double> y = {1.0, 2.0, 3.0};
-  const std::vector<double> y2 = {9.0, 8.0, 7.0};
-  fit(rows, y, 7);
-  cache.store(rows, {&y}, 7, {&preds}, {&ens});
-  // Two-objective probe with the same rows but different target values:
-  // different shape, so the one-objective entry must survive.
-  EXPECT_EQ(cache.lookup(rows, {&y2, &y2}, 7, fm.rows()), nullptr);
-  EXPECT_EQ(cache.stats().invalidations, 0U);
-  EXPECT_NE(cache.lookup(rows, {&y}, 7, fm.rows()), nullptr);
-  // Same shape but a different space size: also a plain miss.
-  EXPECT_EQ(cache.lookup(rows, {&y}, 7, fm.rows() + 1), nullptr);
-  EXPECT_EQ(cache.stats().invalidations, 0U);
-  EXPECT_EQ(cache.size(), 1U);
-}
-
-TEST_F(RootCacheTest, CapacityZeroDisables) {
-  RootCache::Options copts;
-  copts.capacity = 0;
-  RootCache cache(copts);
-  const std::vector<std::uint32_t> rows = {1, 4};
-  const std::vector<double> y = {1.0, 2.0};
-  fit(rows, y, 7);
-  cache.store(rows, {&y}, 7, {&preds}, {&ens});
-  EXPECT_EQ(cache.lookup(rows, {&y}, 7, fm.rows()), nullptr);
-  EXPECT_EQ(cache.size(), 0U);
-}
-
-TEST_F(RootCacheTest, StoreModelsSnapshotsFittedTreeSet) {
-  RootCache::Options copts;
-  copts.store_models = true;
-  RootCache cache(copts);
-  const std::vector<std::uint32_t> rows = {0, 5, 11, 17};
-  const std::vector<double> y = {0.5, 1.5, 2.5, 3.5};
-  fit(rows, y, 13);
-  cache.store(rows, {&y}, 13, {&preds}, {&ens});
-
-  const RootCache::Entry* hit = cache.lookup(rows, {&y}, 13, fm.rows());
-  ASSERT_NE(hit, nullptr);
-  ASSERT_EQ(hit->models.size(), 1U);
-  ASSERT_NE(hit->models[0], nullptr);
-  // The snapshot predicts bitwise identically to the fitted original.
-  std::vector<model::Prediction> from_clone;
-  hit->models[0]->predict_all(fm, from_clone);
-  ASSERT_EQ(from_clone.size(), preds.size());
-  for (std::size_t i = 0; i < preds.size(); ++i) {
-    EXPECT_EQ(from_clone[i].mean, preds[i].mean);
-    EXPECT_EQ(from_clone[i].stddev, preds[i].stddev);
-  }
-}
-
-// A shared cache across two identical runs: the repeated decisions hit,
-// and the trajectory stays bit-identical to cache-off runs.
-TEST(RootCache, WarmStartRunReusesRootsWithIdenticalTrajectory) {
-  const auto problem = testing::tiny_problem();
-  static const cloud::Dataset ds = testing::tiny_dataset();
-  LynceusOptions opts;
-  opts.lookahead = 1;
-  opts.screen_width = 6;
-
-  eval::TableRunner r0(ds);
-  const auto baseline = LynceusOptimizer(opts).optimize(problem, r0, 21);
-
-  RootCache::Options copts;
-  copts.capacity = 64;
-  RootCache cache(copts);
-  opts.root_cache = &cache;
-  eval::TableRunner r1(ds);
-  const auto first = LynceusOptimizer(opts).optimize(problem, r1, 21);
-  EXPECT_EQ(cache.stats().hits, 0U);  // fresh lineage: all misses
-  const std::uint64_t misses_after_first = cache.stats().misses;
-
-  eval::TableRunner r2(ds);
-  const auto second = LynceusOptimizer(opts).optimize(problem, r2, 21);
-  // The re-run replays identical root states: every begin_decision hits
-  // and no new entry is stored.
-  EXPECT_EQ(cache.stats().hits, misses_after_first);
-  EXPECT_GT(cache.stats().hits, 0U);
-  EXPECT_EQ(cache.stats().misses, misses_after_first);
-
-  EXPECT_EQ(history_ids(baseline), history_ids(first));
-  EXPECT_EQ(history_ids(baseline), history_ids(second));
-  EXPECT_EQ(baseline.recommendation, second.recommendation);
-}
-
 // Deterministic simulate: same seed, same value, also across workspaces.
 TEST(LookaheadEngine, SimulateIsDeterministic) {
   const auto problem = testing::tiny_problem();

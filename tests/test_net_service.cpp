@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -91,7 +92,7 @@ service::SessionSpec remote_lynceus_spec(std::uint64_t seed) {
 }
 
 /// The acceptance gate of the redesign: 64 remote sessions, 8 concurrent
-/// client connections, 2 shards, shared per-shard root caches — every
+/// client connections, 2 shards, one server-wide decision cache — every
 /// session's trajectory must be byte-identical to its solo in-process
 /// run.
 TEST(NetService, SixtyFourConcurrentRemoteSessionsMatchTheirSoloRuns) {
@@ -878,6 +879,74 @@ TEST(NetService, StopClosesClientConnections) {
         for (;;) (void)client.read_message();
       },
       SocketError);
+}
+
+/// stop() on an idle server returns at once: every thread, the acceptor
+/// included, sleeps on a doorbell that stop() rings rather than on a poll
+/// timeout. The 60 ms idle spell puts a timeout-driven acceptor (50 ms
+/// ticks) ~40 ms away from its next look at the stop flag.
+TEST(NetService, IdleTwoShardServerStopsWithin25Ms) {
+  TuningServer::Options opts;
+  opts.shards = 2;
+  TuningServer server(opts);
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  const auto t0 = std::chrono::steady_clock::now();
+  server.stop();
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  EXPECT_LT(ms, 25.0);
+}
+
+/// One decision cache per server: the same spec opened twice lands on
+/// both shards (consecutive global ids), and the second session replays
+/// every profiling decision of the first from the cache the shards share.
+/// Both sessions byte-match their solo run.
+TEST(NetService, RepeatedSpecOnTheOtherShardHitsTheServerCache) {
+  const auto ds = lynceus::testing::tiny_dataset();
+  // A budget that affords many profiling decisions; stop outcomes are
+  // never cached.
+  const auto problem = lynceus::testing::tiny_problem(6.0);
+  TuningServer::Options opts;
+  opts.shards = 2;
+  opts.root_cache_capacity = 64;
+  TuningServer server(opts);
+  server.register_problem("test", "tinybowl", problem);
+  const service::SessionSpec spec = remote_lynceus_spec(6);  // LA = 1
+
+  TuningClient client("127.0.0.1", server.port());
+  std::vector<OptimizerResult> remote;
+  std::vector<core::RootCache::Stats> stats;
+  for (int n = 0; n < 2; ++n) {
+    eval::AsyncTableRunner runner(ds);
+    const std::uint64_t id = client.open(spec);
+    client.drain(runner);
+    const TuningClient::ResultReply reply = client.result(id);
+    ASSERT_TRUE(reply.finished);
+    remote.push_back(reply.result);
+    client.close_session(id);
+    stats.push_back(server.cache_stats());
+  }
+  const std::vector<std::size_t> counts = server.shard_session_counts();
+  ASSERT_EQ(counts.size(), 2U);
+  EXPECT_EQ(counts[0], 1U);
+  EXPECT_EQ(counts[1], 1U);
+
+  service::SessionSpec solo_spec = spec;
+  solo_spec.problem = &problem;
+  eval::TableRunner solo(ds);
+  const OptimizerResult golden =
+      core::drive(*solo_spec.make_stepper(nullptr, nullptr), solo);
+  expect_identical(remote[0], golden);
+  expect_identical(remote[1], golden);
+
+  const std::size_t profiled =
+      golden.history.size() - problem.bootstrap_samples;
+  ASSERT_GT(profiled, 0U);
+  EXPECT_EQ(stats[0].hits, 0U);
+  EXPECT_EQ(stats[1].hits, profiled);
+  EXPECT_EQ(stats[1].misses - stats[0].misses, stats[0].misses - profiled);
+  EXPECT_EQ(stats[1].entries, stats[0].entries);
 }
 
 }  // namespace

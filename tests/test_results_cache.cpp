@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
+#include <string>
 
 #include "eval/report.hpp"
 #include "test_helpers.hpp"
@@ -12,8 +15,13 @@ namespace {
 
 class ResultsCacheTest : public ::testing::Test {
  protected:
+  // One directory per process and test: ctest runs every test as its own
+  // process (and the env-toggled suite replays them alongside), so a
+  // shared path would let one test delete another's files mid-run.
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/lynceus_cache_test";
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = ::testing::TempDir() + "/lynceus_cache_test_" +
+           std::to_string(::getpid()) + "_" + info->name();
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -20,6 +20,7 @@
 
 #include "core/bo.hpp"
 #include "core/constraints.hpp"
+#include "core/lookahead.hpp"
 #include "core/lynceus.hpp"
 #include "core/random_search.hpp"
 #include "core/stepper.hpp"
@@ -119,6 +120,71 @@ TEST(ShardedDrain, SixtyFourMixedSessionsMatchTheirSoloRuns) {
       EXPECT_TRUE(svc.idle());
     }
   }
+}
+
+/// Two shards borrowing one decision cache decide the same keys at once:
+/// each shard runs the same Lynceus and multi-constraint sessions, so both
+/// shard threads look up and store identical decisions concurrently (run
+/// under TSan through the `concurrency` label). Every session still
+/// matches its solo run, and the shards reuse each other's decisions.
+TEST(ShardedDrain, SharedDecisionCacheAcrossShardsKeepsTrajectories) {
+  const auto ds = lynceus::testing::tiny_dataset();
+  // A budget that affords many profiling decisions per session.
+  const auto problem = lynceus::testing::tiny_problem(6.0);
+  constexpr std::size_t kShards = 2;
+  constexpr std::uint64_t kSpecs = 4;
+
+  const auto spec_for = [&](std::uint64_t i) {
+    if (i % 2 == 0) {
+      core::LynceusOptions opts;
+      opts.lookahead = 1;
+      opts.incremental_refit = false;
+      return SessionSpec::lynceus(problem, opts, 1 + i);
+    }
+    core::MultiConstraintOptions opts;
+    opts.lookahead = 1;
+    opts.incremental_refit = false;
+    return SessionSpec::multi_constraint(problem, {energy_cap(26.0)}, opts,
+                                         1 + i);
+  };
+  std::vector<OptimizerResult> solo;
+  for (std::uint64_t i = 0; i < kSpecs; ++i) {
+    eval::TableRunner runner(ds, tiny_metrics());
+    solo.push_back(
+        core::drive(*spec_for(i).make_stepper(nullptr, nullptr), runner));
+  }
+
+  core::RootCache cache(core::RootCache::Options{256});
+  std::vector<TuningService::Options> options(kShards);
+  for (auto& o : options) o.cache = &cache;
+  Shards shards(options, eval::AsyncTableRunner(ds, tiny_metrics()));
+  std::vector<std::vector<SessionId>> ids(kShards);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    ASSERT_EQ(shards.services[s].shared_cache(), &cache);
+    for (std::uint64_t i = 0; i < kSpecs; ++i) {
+      ids[s].push_back(shards.services[s].open_session(spec_for(i)));
+    }
+  }
+  drain_sharded(shards.services, shards.runners);
+
+  std::size_t profiled = 0;
+  for (std::uint64_t i = 0; i < kSpecs; ++i) {
+    profiled += solo[i].history.size() - problem.bootstrap_samples;
+    for (std::size_t s = 0; s < kShards; ++s) {
+      SCOPED_TRACE("spec " + std::to_string(i) + " shard " +
+                   std::to_string(s));
+      ASSERT_TRUE(shards.services[s].finished(ids[s][i]));
+      expect_identical_with_failures(shards.services[s].result(ids[s][i]),
+                                     solo[i]);
+    }
+  }
+  // Each profiling decision is made twice, once per shard: at most one
+  // copy misses. A race can make both miss (then both store one entry),
+  // so only the totals are pinned.
+  const core::RootCache::Stats stats = cache.stats();
+  EXPECT_GT(stats.hits, 0U);
+  EXPECT_LE(stats.entries, profiled);
+  EXPECT_GE(stats.hits + stats.misses, 2 * profiled);
 }
 
 /// A journal envelope minus the stepper's wall-clock `decision_seconds`

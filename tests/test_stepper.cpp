@@ -262,9 +262,11 @@ TEST(StepperIdentity, CacheAndBranchParallelVariantsMatch) {
 
 TEST(StepperIdentity, MultiConstraintCacheAndBranchParallelVariantsMatch) {
   const auto ds = testing::tiny_dataset();
-  const auto problem = testing::tiny_problem();
+  // A budget that affords profiling decisions (stop outcomes are never
+  // cached, and at the default budget seed 6 stops at its first).
+  const auto problem = testing::tiny_problem(6.0);
   util::ThreadPool pool(2);
-  RootCache cache;
+  RootCache cache(RootCache::Options{64});
   MultiConstraintOptions opts;
   opts.lookahead = 1;
   opts.incremental_refit = false;

@@ -174,8 +174,8 @@ TEST(TuningService, SharedCacheHitsAcrossIdenticalSessionsKeepTrajectories) {
   eval::AsyncTableRunner async(ds);
 
   // Identical sessions (same seed): the recurrent-job scenario. Every
-  // session after the first replays the same root states, so the shared
-  // cache serves their root fits.
+  // session after the first meets the same decision states, so the
+  // shared cache serves their decisions.
   core::LynceusOptions opts;
   opts.lookahead = 1;
   opts.incremental_refit = false;
@@ -193,6 +193,23 @@ TEST(TuningService, SharedCacheHitsAcrossIdenticalSessionsKeepTrajectories) {
   }
   ASSERT_NE(service.shared_cache(), nullptr);
   EXPECT_GT(service.shared_cache()->stats().hits, 0U);
+}
+
+TEST(TuningService, OwnedAndBorrowedCachesAreExclusive) {
+  core::RootCache cache;
+  TuningService::Options sopts;
+  sopts.cache = &cache;
+  {
+    TuningService borrowing(sopts);
+    EXPECT_EQ(borrowing.shared_cache(), &cache);
+  }
+  sopts.root_cache_capacity = 8;
+  EXPECT_THROW(TuningService{sopts}, std::invalid_argument);
+  sopts.cache = nullptr;
+  TuningService owning(sopts);
+  ASSERT_NE(owning.shared_cache(), nullptr);
+  EXPECT_NE(owning.shared_cache(), &cache);
+  EXPECT_EQ(owning.shared_cache()->options().capacity, 8U);
 }
 
 TEST(TuningService, RoundRobinSchedulingIsDeterministic) {

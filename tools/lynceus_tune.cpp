@@ -68,9 +68,9 @@ Flags:
               seed..seed+N-1) through the TuningService over one shared
               thread pool (or on --shards K shards), fed by simulated
               asynchronous run completions (lynceus | bo | rnd only;
-              incompatible with --trace). A shared root cache only pays
-              off for identical recurrent sessions — distinct seeds never
-              share root states — so this mode runs without one.
+              incompatible with --trace). A shared decision cache only
+              pays off for identical recurrent sessions — distinct seeds
+              never share decision states — so this mode runs without one.
   --snapshot PATH    serialize the session to PATH and exit once
               --snapshot-after tell()s have been applied
   --snapshot-after K runs applied before snapshotting (default: after
@@ -376,9 +376,9 @@ int run_sessions(const cloud::Dataset& dataset,
   // service fans every decision out across a pool it borrows.
   util::ThreadPool pool(shards == 0 ? util::default_worker_count() : 0);
   if (shards == 0) sopts.pool = &pool;
-  // No shared root cache: sessions carry distinct seeds, so their root
-  // states (bootstrap rows + fit seeds) never coincide and exact-key hits
-  // are impossible — the cache would only burn memory here. Identical
+  // No decision cache: sessions carry distinct seeds, so their decision
+  // states never coincide and exact-key hits are impossible — the cache
+  // would only burn memory here. Identical
   // recurrent sessions (the scenario the shared cache serves) are
   // benchmarked in bench_micro's session_throughput section.
   const std::size_t k = std::max<std::size_t>(shards, 1);
@@ -433,6 +433,10 @@ int run_serve(std::uint16_t port, std::size_t shards,
   opts.pin_threads = pin_threads;
   opts.run_policy.max_attempts = faults.max_retries + 1;
   opts.run_policy.run_timeout_seconds = faults.run_timeout;
+  // One decision cache for every shard: remote drivers re-opening a spec
+  // (recurrent jobs) skip its repeated decisions. An entry is O(samples)
+  // bytes, and the exact key leaves every trajectory unchanged.
+  opts.root_cache_capacity = 256;
   net::TuningServer server(opts);
   const char* wire_desc =
       wire == net::TuningServer::WirePolicy::kJsonOnly     ? "json"
@@ -456,6 +460,10 @@ int run_serve(std::uint16_t port, std::size_t shards,
     std::printf("lane t%zu->s%zu: high water %zu/%zu, %zu stalls\n",
                 ls.transport, ls.shard, ls.high_water, ls.capacity, ls.stalls);
   }
+  const core::RootCache::Stats cache = server.cache_stats();
+  std::printf("decision cache: %llu hits, %llu misses, %zu entries\n",
+              static_cast<unsigned long long>(cache.hits),
+              static_cast<unsigned long long>(cache.misses), cache.entries);
   return 0;
 }
 
