@@ -26,7 +26,7 @@
 #include "cloud/workloads.hpp"
 #include "core/acquisition.hpp"
 #include "core/constraints.hpp"
-#include "core/constraints_reference.hpp"
+#include "constraints_reference.hpp"
 #include "core/lookahead.hpp"
 #include "core/lynceus.hpp"
 #include "core/bo.hpp"
@@ -570,7 +570,7 @@ CachedStats measure_cached_decision(int space_idx, unsigned la,
                                     std::size_t reps) {
   const auto ds = decision_dataset(space_idx);
   const auto problem = eval::make_problem(ds, 3.0);
-  core::RootCache cache;
+  core::RootCache cache(core::RootCache::Options{64});
   core::LynceusOptions opts;
   opts.lookahead = la;
   opts.screen_width = 24;

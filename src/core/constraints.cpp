@@ -1,7 +1,5 @@
 #include "core/constraints.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "core/bo.hpp"
@@ -154,38 +152,22 @@ class MultiConstraintStepper final : public OptimizerStepper {
 
     // One simulated path per viable root (§4.4 uses no root screening),
     // in parallel when a pool is provided — root paths are independent.
-    values_.assign(roots.size(), PathValue{});
-    util::maybe_parallel_for(
-        options_.pool, roots.size(), [&](std::size_t i) {
-          values_[i] = engine_.simulate(
-              roots[i],
-              util::derive_seed(seed_, iteration_ * 1000003ULL + roots[i]));
-        });
-
-    double best_ratio = -std::numeric_limits<double>::infinity();
-    ConfigId best_id = roots.front();
-    for (std::size_t i = 0; i < roots.size(); ++i) {
-      const double ratio =
-          values_[i].reward / std::max(values_[i].cost, 1e-12);
-      if (ratio > best_ratio) {
-        best_ratio = ratio;
-        best_id = roots[i];
-      }
-    }
+    const detail::RootChoice best = detail::best_root(
+        engine_, options_.pool, roots, seed_, iteration_, values_);
     timer_.stop();
 
     DecisionEvent event;
     event.iteration = static_cast<std::size_t>(iteration_);
-    event.chosen = best_id;
+    event.chosen = best.id;
     event.viable_count = roots.size();
     event.simulated_roots = roots.size();
-    event.predicted_cost = engine_.root_cost_predictions()[best_id].mean;
+    event.predicted_cost = engine_.root_cost_predictions()[best.id].mean;
     event.incumbent = engine_.incumbent();
-    event.best_ratio = best_ratio;
+    event.best_ratio = best.ratio;
     event.remaining_budget = st_.budget.remaining();
     if (cache_ != nullptr) cache_->store(key_, event);
     if (observer_ != nullptr) observer_->on_decision(event);
-    return best_id;
+    return best.id;
   }
 
   void apply_bootstrap_run(ConfigId config, const RunResult& r) override {

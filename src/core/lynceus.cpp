@@ -1,7 +1,6 @@
 #include "core/lynceus.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "core/bo.hpp"
@@ -136,40 +135,22 @@ class LynceusStepper final : public OptimizerStepper {
     }
 
     // Simulate one path per root, in parallel (§4.3).
-    values_.assign(roots_.size(), PathValue{});
-    util::maybe_parallel_for(options_.pool, roots_.size(),
-                             [&](std::size_t i) {
-                               values_[i] = engine_.simulate(
-                                   roots_[i],
-                                   util::derive_seed(
-                                       seed_, iteration_ * 1000003ULL +
-                                                  roots_[i]));
-                             });
-
-    double best_ratio = -std::numeric_limits<double>::infinity();
-    ConfigId best_id = roots_.front();
-    for (std::size_t i = 0; i < roots_.size(); ++i) {
-      const double ratio =
-          values_[i].reward / std::max(values_[i].cost, 1e-12);
-      if (ratio > best_ratio) {
-        best_ratio = ratio;
-        best_id = roots_[i];
-      }
-    }
+    const detail::RootChoice best = detail::best_root(
+        engine_, options_.pool, roots_, seed_, iteration_, values_);
     timer_.stop();
 
     DecisionEvent event;
     event.iteration = static_cast<std::size_t>(iteration_);
-    event.chosen = best_id;
+    event.chosen = best.id;
     event.viable_count = engine_.viable().size();
     event.simulated_roots = roots_.size();
-    event.predicted_cost = engine_.root_predictions()[best_id].mean;
+    event.predicted_cost = engine_.root_predictions()[best.id].mean;
     event.incumbent = engine_.incumbent();
-    event.best_ratio = best_ratio;
+    event.best_ratio = best.ratio;
     event.remaining_budget = st_.budget.remaining();
     if (cache_ != nullptr) cache_->store(key_, event);
     if (observer_ != nullptr) observer_->on_decision(event);
-    return best_id;
+    return best.id;
   }
 
   void apply_decision_run(ConfigId config, const RunResult& r) override {

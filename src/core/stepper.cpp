@@ -378,6 +378,13 @@ void OptimizerStepper::restore(const std::string& snapshot_json) {
     throw std::runtime_error("OptimizerStepper::restore: unknown phase '" +
                              phase + "'");
   }
+  // The live loop never decides without a sample (an all-failed bootstrap
+  // finishes with "no_successful_runs"); such a state would throw from the
+  // model fit on the next ask(), inside a service sweep.
+  if (phase_ == Phase::Decide && st_.samples.empty()) {
+    throw std::runtime_error(
+        "OptimizerStepper::restore: decide-phase snapshot without samples");
+  }
 
   const util::JsonValue& pending = v.at("pending");
   const util::JsonValue& told = v.at("told");

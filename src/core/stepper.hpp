@@ -204,8 +204,10 @@ class OptimizerStepper {
   /// or tell() may have happened yet). The stepper must have been built
   /// with the same problem, options and seed as the saved one; the
   /// optimizer name and space size are verified, the rest is the caller's
-  /// contract. Throws std::runtime_error on malformed input or a
-  /// mismatched stepper, std::logic_error when this stepper already ran.
+  /// contract. Throws std::runtime_error on malformed input (including a
+  /// "decide" phase with no sample, a state the live loop never reaches)
+  /// or a mismatched stepper, std::logic_error when this stepper already
+  /// ran.
   void restore(const std::string& snapshot_json);
 
  protected:

@@ -15,9 +15,10 @@
 /// the identical configuration sequence, and bench_micro measures the
 /// speedup of the engine over this path.
 ///
-/// Mirrors the single-constraint methodology of PR 1 (NaiveLynceus in
-/// tests/test_lookahead.cpp); lives in src/ rather than tests/ so the
-/// bench binaries can drive single reference decisions too.
+/// Mirrors the single-constraint oracle (NaiveLynceus in
+/// tests/lookahead_reference.hpp); a test oracle kept out of the library,
+/// which bench_micro includes from tests/ to time single reference
+/// decisions.
 
 #include <algorithm>
 #include <cmath>

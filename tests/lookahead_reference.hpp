@@ -15,9 +15,10 @@
 /// (tests/test_incremental_refit.cpp) measures trajectory-quality parity
 /// against it with the flag on.
 ///
-/// The multi-constraint twin lives in core/constraints_reference.hpp;
-/// this header mirrors its structure (lives in src/ rather than tests/ so
-/// bench and tool binaries can drive reference decisions too).
+/// The multi-constraint twin lives in tests/constraints_reference.hpp;
+/// this header mirrors its structure. Both are test oracles, kept out of
+/// the library; bench_micro includes them from tests/ to time reference
+/// decisions.
 
 #include <algorithm>
 #include <cmath>

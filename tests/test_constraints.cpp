@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bo.hpp"
-#include "core/constraints_reference.hpp"
+#include "constraints_reference.hpp"
 #include "core/lookahead.hpp"
 #include "core/sequential.hpp"
 #include "eval/runner.hpp"
@@ -318,7 +318,7 @@ TEST(MultiConstraintEngine, SimulateIsDeterministic) {
 TEST(MultiConstraintLynceus, DecisionCacheHitSkipsLookaheadBitIdentically) {
   const auto ds = testing::tiny_dataset();
   const auto problem = testing::tiny_problem();
-  RootCache cache;
+  RootCache cache(RootCache::Options{64});
   MultiConstraintOptions opts;
   opts.lookahead = 1;
   opts.root_cache = &cache;

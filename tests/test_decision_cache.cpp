@@ -71,7 +71,7 @@ DecisionEvent decision(ConfigId chosen) {
 }
 
 TEST(RootCacheTest, ExactMatchHitsPrefixMisses) {
-  RootCache cache;
+  RootCache cache(RootCache::Options{8});
   const KeyParts parts;
   DecisionEvent out;
   EXPECT_FALSE(cache.lookup(parts.key(), out));
@@ -100,7 +100,7 @@ TEST(RootCacheTest, ExactMatchHitsPrefixMisses) {
 TEST(RootCacheTest, DivergedStateIsAPlainMiss) {
   // Same sample ids, a different measured cost: a miss that leaves the
   // cached entry in place — an exact key needs no invalidation.
-  RootCache cache;
+  RootCache cache(RootCache::Options{8});
   const KeyParts parts;
   cache.store(parts.key(), decision(3));
   KeyParts diverged = parts;
@@ -133,7 +133,7 @@ TEST(RootCacheTest, EvictsLeastRecentlyUsed) {
 TEST(RootCacheTest, CrossShapeEntriesCoexist) {
   // A Lynceus and a multi-constraint stepper, or two problems, may share
   // one cache: the same state under another context is another entry.
-  RootCache cache;
+  RootCache cache(RootCache::Options{8});
   KeyParts lynceus;
   KeyParts mc;
   mc.kind = "multi_constraint";
@@ -164,7 +164,7 @@ TEST(RootCacheTest, CapacityZeroDisables) {
 
 TEST(RootCacheTest, ContextsCompareByContentNotByPointer) {
   // Every stepper builds its own context; equal contents must match.
-  RootCache cache;
+  RootCache cache(RootCache::Options{8});
   const KeyParts parts;
   const RootCache::Key first = parts.key();
   const RootCache::Key second = parts.key();
@@ -188,7 +188,7 @@ struct StatePart {
 class DecisionKeyState : public ::testing::TestWithParam<StatePart> {};
 
 TEST_P(DecisionKeyState, ChangingOnlyThisPartMisses) {
-  RootCache cache;
+  RootCache cache(RootCache::Options{8});
   const KeyParts base;
   cache.store(base.key(), decision(3));
   KeyParts changed = base;

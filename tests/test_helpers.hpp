@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "cloud/dataset.hpp"
 #include "core/types.hpp"
@@ -70,6 +71,22 @@ inline void expect_identical_with_failures(const core::OptimizerResult& a,
   EXPECT_EQ(a.recommendation, b.recommendation);
   EXPECT_EQ(a.recommendation_feasible, b.recommendation_feasible);
   EXPECT_EQ(a.decisions, b.decisions);
+}
+
+/// `json` with the array value of its first `"key":[...]` emptied (nested
+/// arrays included) — e.g. a snapshot with its samples blanked.
+inline std::string with_empty_array(std::string json, const std::string& key) {
+  const std::string head = "\"" + key + "\":[";
+  const std::size_t open = json.find(head);
+  EXPECT_NE(open, std::string::npos) << key;
+  if (open == std::string::npos) return json;
+  std::size_t close = open + head.size();
+  for (int depth = 1; depth > 0; ++close) {
+    if (json[close] == '[') ++depth;
+    if (json[close] == ']') --depth;
+  }
+  return json.replace(open + head.size(), close - 1 - (open + head.size()),
+                      "");
 }
 
 }  // namespace lynceus::testing

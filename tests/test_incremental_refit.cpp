@@ -29,9 +29,9 @@
 #include "cloud/workloads.hpp"
 #include "core/bo.hpp"
 #include "core/constraints.hpp"
-#include "core/constraints_reference.hpp"
+#include "constraints_reference.hpp"
 #include "core/lookahead.hpp"
-#include "core/lookahead_reference.hpp"
+#include "lookahead_reference.hpp"
 #include "core/lynceus.hpp"
 #include "core/sequential.hpp"
 #include "eval/runner.hpp"

@@ -9,7 +9,7 @@
 
 #include "core/acquisition.hpp"
 #include "core/bo.hpp"
-#include "core/lookahead_reference.hpp"
+#include "lookahead_reference.hpp"
 #include "core/lynceus.hpp"
 #include "core/sequential.hpp"
 #include "eval/runner.hpp"
@@ -131,10 +131,9 @@ TEST_F(PredictSubset, TreeBatchMatchesScalarPredict) {
 // Golden trajectory: naive copy-based reference vs the delta-state engine
 // ---------------------------------------------------------------------------
 
-/// The naive copy-based decision loop now lives in
-/// core/lookahead_reference.hpp (mirroring constraints_reference.hpp) so
-/// the differential incremental-refit suite and the benches can drive it
-/// too.
+/// The naive copy-based decision loop lives in
+/// tests/lookahead_reference.hpp (mirroring constraints_reference.hpp) so
+/// the differential incremental-refit suite can drive it too.
 using reference::NaiveLynceus;
 
 std::vector<ConfigId> history_ids(const OptimizerResult& r) {

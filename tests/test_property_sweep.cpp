@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <type_traits>
 
 #include "cloud/workloads.hpp"
 #include "eval/experiment.hpp"
@@ -21,7 +23,9 @@ namespace {
 
 struct SweepCase {
   std::size_t job_index;
-  enum class Kind { Rnd, Bo, Lynceus0, Lynceus1 } kind;
+  /// As wide as job_index: gtest names each case by its raw bytes, so the
+  /// struct must carry no padding, whose bytes vary from build to build.
+  enum class Kind : std::uint64_t { Rnd, Bo, Lynceus0, Lynceus1 } kind;
 
   [[nodiscard]] eval::OptimizerSpec spec() const {
     switch (kind) {
@@ -37,6 +41,9 @@ struct SweepCase {
     return "job" + std::to_string(job_index) + "_" + spec().label;
   }
 };
+
+static_assert(std::has_unique_object_representations_v<SweepCase>,
+              "every byte of a SweepCase is part of its ctest name");
 
 std::string case_name(const ::testing::TestParamInfo<SweepCase>& info) {
   std::string name = info.param.label();

@@ -239,7 +239,7 @@ TEST(StepperIdentity, CacheAndBranchParallelVariantsMatch) {
     for (const bool branch_parallel : {false, true}) {
       SCOPED_TRACE(std::string(use_cache ? "cache" : "no-cache") +
                    (branch_parallel ? "+branch" : ""));
-      RootCache cache;
+      RootCache cache(RootCache::Options{64});
       LynceusOptions opts;
       opts.lookahead = 1;
       opts.incremental_refit = false;
@@ -490,6 +490,49 @@ TEST(StepperSnapshot, RestoreRejectsIdsThatAliasAfterNarrowing) {
     EXPECT_THROW(restore_fresh(problem, with_config_id(
                                             snap, section, (1ULL << 32) + k)),
                  std::runtime_error);
+  }
+}
+
+/// A decide-phase snapshot with its samples (and, multi-constraint, their
+/// metrics) blanked: a state the live loop never builds — an all-failed
+/// bootstrap finishes with "no_successful_runs" — and one the next ask()
+/// could not decide from. restore() must refuse it, for every optimizer
+/// that refits from its samples.
+TEST(StepperSnapshot, RestoreRejectsADecidePhaseWithoutSamples) {
+  const auto ds = testing::tiny_dataset();
+  const auto problem = testing::tiny_problem();
+  const std::vector<Case> cases = {
+      {"lynceus",
+       [](const OptimizationProblem& p, std::uint64_t seed) {
+         return LynceusOptimizer().make_stepper(p, seed);
+       }},
+      {"multi_constraint",
+       [](const OptimizationProblem& p, std::uint64_t seed) {
+         return MultiConstraintLynceus({tiny_constraint(26.0)})
+             .make_stepper(p, seed);
+       },
+       true},
+      {"bo",
+       [](const OptimizationProblem& p, std::uint64_t seed) {
+         return BayesianOptimizer().make_stepper(p, seed);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    eval::TableRunner runner(ds, c.needs_metrics ? tiny_metrics() : nullptr);
+    auto stepper = c.make(problem, 5);
+    for (ConfigId id : stepper->ask().configs) {
+      stepper->tell(id, runner.run(id));
+    }
+    const std::string snap = stepper->snapshot();
+    ASSERT_NE(snap.find("\"phase\":\"decide\""), std::string::npos);
+    ASSERT_NO_THROW(c.make(problem, 5)->restore(snap));
+
+    std::string blanked = testing::with_empty_array(snap, "samples");
+    if (c.needs_metrics) {
+      blanked = testing::with_empty_array(blanked, "metrics");
+    }
+    EXPECT_THROW(c.make(problem, 5)->restore(blanked), std::runtime_error);
   }
 }
 

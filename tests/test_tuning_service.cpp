@@ -196,7 +196,7 @@ TEST(TuningService, SharedCacheHitsAcrossIdenticalSessionsKeepTrajectories) {
 }
 
 TEST(TuningService, OwnedAndBorrowedCachesAreExclusive) {
-  core::RootCache cache;
+  core::RootCache cache(core::RootCache::Options{8});
   TuningService::Options sopts;
   sopts.cache = &cache;
   {
@@ -301,6 +301,45 @@ TEST(TuningService, SnapshotRestoreMidFlightFinishesByteIdentically) {
   pump(revived, async2);
   ASSERT_TRUE(revived.finished(rid));
   expect_identical(revived.result(rid), golden);
+}
+
+// A restore of a hostile snapshot — "decide" phase, no samples — is
+// refused, registers no session, and leaves a co-resident session's sweep
+// intact: it still gets every run and finishes as it would alone.
+TEST(TuningService, RejectedRestoreLeavesCoResidentSessionRunning) {
+  const auto ds = lynceus::testing::tiny_dataset();
+  const auto problem = lynceus::testing::tiny_problem();
+  core::LynceusOptions opts;
+  opts.lookahead = 1;
+  opts.incremental_refit = false;
+  const SessionSpec spec = SessionSpec::lynceus(problem, opts, 23);
+
+  eval::TableRunner solo(ds);
+  auto ref = core::LynceusOptimizer(opts).make_stepper(problem, 23);
+  const OptimizerResult golden = core::drive(*ref, solo);
+
+  // A snapshot taken after the bootstrap batch (phase "decide"), blanked.
+  auto donor = core::LynceusOptimizer(opts).make_stepper(problem, 23);
+  eval::TableRunner runner(ds);
+  for (ConfigId id : donor->ask().configs) donor->tell(id, runner.run(id));
+  const std::string hostile =
+      lynceus::testing::with_empty_array(donor->snapshot(), "samples");
+
+  TuningService service;
+  eval::AsyncTableRunner async(ds);
+  const SessionId healthy = service.open_session(spec);
+  EXPECT_THROW(service.restore_session(spec, hostile), std::runtime_error);
+  EXPECT_EQ(service.session_count(), 1U);
+
+  const std::vector<PendingRun> bootstrap = service.next_runs();
+  EXPECT_EQ(bootstrap.size(), problem.bootstrap_samples);
+  for (const PendingRun& run : bootstrap) {
+    EXPECT_EQ(run.session, healthy);
+    async.submit(run.session, run.config);
+  }
+  pump(service, async);
+  ASSERT_TRUE(service.finished(healthy));
+  expect_identical(service.result(healthy), golden);
 }
 
 TEST(TuningService, TellErrorPathsLeaveStateIntact) {
