@@ -303,7 +303,7 @@ TEST(BranchParallel, CacheWarmStartReplaysIdenticallyPooled) {
 /// parked inside the same parallel_for, so every branch part `body`'s
 /// simulate() calls fan out runs inline on that thread, one at a time —
 /// and the engine's FIFO replica ring (see
-/// LookaheadEngine::acquire_branch_workspace) hands replicas out in
+/// detail::PathSimulator::acquire_branch_workspace) hands replicas out in
 /// strict rotation.
 template <typename Body>
 void run_with_workers_parked(util::ThreadPool& pool, const Body& body) {
